@@ -95,8 +95,9 @@ BM_PrefixXor(benchmark::State& state)
 {
     Rng rng(1);
     uint64_t x = rng.next();
+    const kernels::Kernel& kernel = kernels::active();
     for (auto _ : state) {
-        x = kernels::prefixXor(x) + 1;
+        x = kernel.prefix_xor(x) + 1;
         benchmark::DoNotOptimize(x);
     }
 }
@@ -108,8 +109,9 @@ BM_SelectBit(benchmark::State& state)
     Rng rng(2);
     uint64_t x = rng.next() | 1;
     int k = 1;
+    const kernels::Kernel& kernel = kernels::active();
     for (auto _ : state) {
-        int pos = kernels::selectBit(x, k);
+        int pos = kernel.select_bit(x, k);
         benchmark::DoNotOptimize(pos);
         k = (k % bits::popcount(x)) + 1;
     }

@@ -8,47 +8,14 @@
 namespace jsonski::intervals {
 namespace {
 
-/**
- * Mark characters escaped by a backslash, handling runs of backslashes
- * that straddle block boundaries (odd-length run => next char escaped).
- * This is the classic odd/even backslash-sequence computation used by
- * simdjson and Pison.  Pure word arithmetic — identical for every
- * kernel, so it lives here rather than in the dispatch layer.
- *
- * @param backslash     Bitmap of '\\' bytes in this block.
- * @param prev_escaped  In/out carry: 1 if bit 0 of this block is escaped.
- * @return Bitmap of escaped characters in this block.
- */
-uint64_t
-findEscaped(uint64_t backslash, uint64_t& prev_escaped)
-{
-    if (backslash == 0) {
-        uint64_t escaped = prev_escaped;
-        prev_escaped = 0;
-        return escaped;
-    }
-    backslash &= ~prev_escaped;
-    uint64_t follows_escape = (backslash << 1) | prev_escaped;
-    constexpr uint64_t even_bits = 0x5555555555555555ULL;
-    uint64_t odd_starts = backslash & ~even_bits & ~follows_escape;
-    uint64_t even_carries;
-    prev_escaped =
-        __builtin_add_overflow(odd_starts, backslash, &even_carries) ? 1 : 0;
-    uint64_t invert_mask = even_carries << 1;
-    return (even_bits ^ invert_mask) & follows_escape;
-}
-
 BlockBits
 finishClassification(const kernels::Kernel& k, const kernels::RawBits64& raw,
                      ClassifierCarry& carry)
 {
+    StringBits s = stringLayer(raw.backslash, raw.quote, carry, k.prefix_xor);
     BlockBits out;
-    uint64_t escaped = findEscaped(raw.backslash, carry.prev_escaped);
-    out.quote = raw.quote & ~escaped;
-    out.in_string = k.prefix_xor(out.quote) ^ carry.prev_in_string;
-    // Carry: all-ones if the block ends inside a string.
-    carry.prev_in_string =
-        static_cast<uint64_t>(static_cast<int64_t>(out.in_string) >> 63);
+    out.quote = s.quote;
+    out.in_string = s.in_string;
     uint64_t outside = ~out.in_string;
     out.open_brace = raw.open_brace & outside;
     out.close_brace = raw.close_brace & outside;
@@ -144,13 +111,7 @@ classifyStringsBlock(const char* data, ClassifierCarry& carry)
     const kernels::Kernel& k = kernels::active();
     kernels::StringRaw raw = k.string_raw(data);
     telemetry::count(telemetry::Counter::StringMaskBuilds);
-    StringBits out;
-    uint64_t escaped = findEscaped(raw.backslash, carry.prev_escaped);
-    out.quote = raw.quote & ~escaped;
-    out.in_string = k.prefix_xor(out.quote) ^ carry.prev_in_string;
-    carry.prev_in_string =
-        static_cast<uint64_t>(static_cast<int64_t>(out.in_string) >> 63);
-    return out;
+    return stringLayer(raw.backslash, raw.quote, carry, k.prefix_xor);
 }
 
 uint64_t

@@ -65,6 +65,57 @@ struct StringBits
     uint64_t quote = 0;     ///< unescaped quotes
 };
 
+/**
+ * Mark characters escaped by a backslash, handling runs of backslashes
+ * that straddle block boundaries (odd-length run => next char escaped).
+ * This is the classic odd/even backslash-sequence computation used by
+ * simdjson and Pison.  Pure word arithmetic — identical for every
+ * kernel.
+ *
+ * @param backslash     Bitmap of '\\' bytes in this block.
+ * @param prev_escaped  In/out carry: 1 if bit 0 of this block is escaped.
+ * @return Bitmap of escaped characters in this block.
+ */
+static inline uint64_t
+findEscaped(uint64_t backslash, uint64_t& prev_escaped)
+{
+    if (backslash == 0) {
+        uint64_t escaped = prev_escaped;
+        prev_escaped = 0;
+        return escaped;
+    }
+    backslash &= ~prev_escaped;
+    uint64_t follows_escape = (backslash << 1) | prev_escaped;
+    constexpr uint64_t even_bits = 0x5555555555555555ULL;
+    uint64_t odd_starts = backslash & ~even_bits & ~follows_escape;
+    uint64_t even_carries;
+    prev_escaped =
+        __builtin_add_overflow(odd_starts, backslash, &even_carries) ? 1 : 0;
+    uint64_t invert_mask = even_carries << 1;
+    return (even_bits ^ invert_mask) & follows_escape;
+}
+
+/**
+ * One block of the string layer from its raw backslash and quote
+ * bitmaps, threading @p carry: unescaped quotes, then the in-string
+ * mask by prefix XOR.  Shared by the dispatched classifier and the
+ * compiled scan loops; `static` so every kernel's translation unit
+ * keeps its own copy (kernels/policy.h, "Flag discipline").
+ */
+template <class PrefixXor>
+static inline StringBits
+stringLayer(uint64_t backslash, uint64_t quote, ClassifierCarry& carry,
+            PrefixXor prefix_xor)
+{
+    StringBits out;
+    out.quote = quote & ~findEscaped(backslash, carry.prev_escaped);
+    out.in_string = prefix_xor(out.quote) ^ carry.prev_in_string;
+    // Carry: all-ones if the block ends inside a string.
+    carry.prev_in_string =
+        static_cast<uint64_t>(static_cast<int64_t>(out.in_string) >> 63);
+    return out;
+}
+
 /** String-layer classification of one full block. */
 StringBits classifyStringsBlock(const char* data, ClassifierCarry& carry);
 

@@ -2,14 +2,48 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
+
+#include "kernels/kernels_internal.h"
 
 namespace jsonski::intervals {
 
-StreamCursor::StreamCursor(ChunkSource& source, size_t chunk_bytes,
-                           bool scalar_classifier)
+// One table per kernel, each compiled from intervals/scan_loops.h in a
+// TU with that kernel's flags (scans_<kernel>.cpp).
+extern const Scans kScalarScans;
+#if JSONSKI_KERNELS_X86
+extern const Scans kWestmereScans;
+extern const Scans kAvx2Scans;
+#endif
+
+const Scans&
+scansFor(const kernels::Kernel& k)
+{
+    static const Scans* const tables[] = {
+#if JSONSKI_KERNELS_X86
+        &kAvx2Scans,
+        &kWestmereScans,
+#endif
+        &kScalarScans,
+    };
+    for (const Scans* t : tables) {
+        if (std::string_view(t->kernel) == k.name)
+            return *t;
+    }
+    assert(false && "kernel without compiled scan loops");
+    return kScalarScans;
+}
+
+StreamCursor::StreamCursor(std::string_view input)
+    : data_(input.data()),
+      len_(input.size()),
+      scans_(&scansFor(kernels::active()))
+{}
+
+StreamCursor::StreamCursor(ChunkSource& source, size_t chunk_bytes)
     : data_(nullptr),
       len_(0),
-      scalar_classifier_(scalar_classifier),
+      scans_(&scansFor(kernels::active())),
       src_(&source),
       eof_(false),
       chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes)
@@ -113,40 +147,6 @@ StreamCursor::prepareTail(size_t base)
     tail_ready_ = true;
 }
 
-void
-StreamCursor::classifyThrough(size_t idx)
-{
-    assert(idx + 1 >= classified_blocks_ &&
-           "cursor cannot rewind to an earlier block");
-    telemetry::PhaseScope phase(telemetry::Phase::Classify);
-    size_t first = classified_blocks_;
-    while (classified_blocks_ <= idx) {
-        size_t start = classified_blocks_ * kBlockSize;
-        if (start + kBlockSize > len_) { // overflow-free form of the
-            if (!eof_)                   // partial-tail test
-                refillTo(start + kBlockSize);
-            if (start + kBlockSize > len_)
-                prepareTail(start);
-        }
-        const char* d = blockDataAt(classified_blocks_);
-        if (scalar_classifier_) {
-            // Ablation mode: derive the string layer from the
-            // character-level reference classifier.
-            BlockBits b = classifyBlockReference(
-                d, kBlockSize, carry_);
-            strings_.in_string = b.in_string;
-            strings_.quote = b.quote;
-        } else {
-            strings_ = classifyStringsBlock(d, carry_);
-        }
-        ++classified_blocks_;
-    }
-    telemetry::count(telemetry::Counter::BlocksClassified,
-                     classified_blocks_ - first);
-    telemetry::count(telemetry::Counter::BytesScanned,
-                     (classified_blocks_ - first) * kBlockSize);
-}
-
 bool
 StreamCursor::warpTo(size_t target, ClassifierCarry carry)
 {
@@ -195,36 +195,6 @@ StreamCursor::blockAt(size_t idx)
     out.comma = rawEqBits(d, ',') & outside;
     out.whitespace = rawWhitespaceBits(d) & outside;
     return out;
-}
-
-char
-StreamCursor::skipWhitespace()
-{
-    // Fast path: compact JSON rarely has whitespace at all; answer
-    // from the raw byte before touching any bitmap.
-    if (pos_ < len_) {
-        char c = *mem(pos_);
-        if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
-            return c;
-    }
-    while (!atEnd()) {
-        (void)strings(); // keep the sequential pipeline in step
-        uint64_t ws = rawWhitespaceBits(blockData());
-        uint64_t candidates = maskFromPos(~ws);
-        if (candidates != 0) {
-            size_t p = blockIndex() * kBlockSize +
-                       static_cast<size_t>(bits::trailingZeros(candidates));
-            if (p >= len_) {
-                pos_ = len_;
-                return '\0';
-            }
-            pos_ = p;
-            return *mem(pos_);
-        }
-        pos_ = (blockIndex() + 1) * kBlockSize;
-    }
-    pos_ = len_;
-    return '\0';
 }
 
 } // namespace jsonski::intervals

@@ -11,9 +11,11 @@
  * at a time, exactly when a fast-forward case asks for them (the
  * paper's "relevant interval bitmaps", §4.2).
  *
- * Fast-forward primitives (ski/skipper.h) advance `pos` by consuming
- * these bitmaps; everything else (attribute-name extraction, primitive
- * peeks) uses short scalar reads through the same cursor.
+ * Fast-forward primitives (ski/skipper.h) advance `pos` through the
+ * cursor's scan loops (intervals/scans.h), compiled once per SIMD
+ * kernel and taken from kernels::active() when the cursor is built;
+ * everything else (attribute-name extraction, primitive peeks) uses
+ * short scalar reads through the same cursor.
  *
  * Two ingestion modes share every algorithm above:
  *
@@ -57,6 +59,7 @@
 #include "intervals/block.h"
 #include "intervals/chunk_source.h"
 #include "intervals/classifier.h"
+#include "intervals/scans.h"
 #include "telemetry/telemetry.h"
 #include "util/bits.h"
 
@@ -84,16 +87,8 @@ class StreamCursor
     /**
      * Attach to a resident JSON buffer; the buffer must outlive the
      * cursor.
-     *
-     * @param scalar_classifier Use the character-level reference
-     *        classifier instead of the SIMD one (ablation studies).
      */
-    explicit StreamCursor(std::string_view input,
-                          bool scalar_classifier = false)
-        : data_(input.data()),
-          len_(input.size()),
-          scalar_classifier_(scalar_classifier)
-    {}
+    explicit StreamCursor(std::string_view input);
 
     /**
      * Attach to a ChunkSource; the source must outlive the cursor.
@@ -104,8 +99,10 @@ class StreamCursor
      *        steady-state resident window is one block-rounded chunk
      *        plus one block of slack.
      */
-    StreamCursor(ChunkSource& source, size_t chunk_bytes,
-                 bool scalar_classifier = false);
+    StreamCursor(ChunkSource& source, size_t chunk_bytes);
+
+    /** The scan loops of the kernel that was active at construction. */
+    const Scans& scans() const { return *scans_; }
 
     /** Current absolute byte position. */
     size_t pos() const { return pos_; }
@@ -249,7 +246,7 @@ class StreamCursor
     {
         assert(idx * kBlockSize < len_);
         if (idx + 1 != classified_blocks_)
-            classifyThrough(idx);
+            scans_->classify_through(*this, idx);
         return strings_;
     }
 
@@ -263,8 +260,9 @@ class StreamCursor
     /**
      * Structural bitmap of character @p c in the current block:
      * equality bits with pseudo-metacharacters (string interiors)
-     * removed.  Built on demand — callers request only the classes the
-     * active fast-forward case needs.  @pre !atEnd()
+     * removed.  One dispatched kernel call per bitmap — for tests and
+     * cold callers; the scan loops compute theirs inline.
+     * @pre !atEnd()
      */
     uint64_t
     bits(char c)
@@ -273,29 +271,10 @@ class StreamCursor
         return rawEqBits(blockData(), c) & ~s.in_string;
     }
 
-    /** OR of bits(a) | bits(b), with one string-mask application. */
-    uint64_t
-    bits2(char a, char b)
-    {
-        const StringBits& s = strings();
-        const char* d = blockData();
-        return (rawEqBits(d, a) | rawEqBits(d, b)) & ~s.in_string;
-    }
-
-    /** OR of three structural bitmaps. */
-    uint64_t
-    bits3(char a, char b, char c)
-    {
-        const StringBits& s = strings();
-        const char* d = blockData();
-        return (rawEqBits(d, a) | rawEqBits(d, b) | rawEqBits(d, c)) &
-               ~s.in_string;
-    }
-
     /**
      * Fully eager classification of block @p idx (every metacharacter
-     * class).  Retained for tests and non-streaming users; the skipper
-     * uses the lazy accessors above.
+     * class).  Retained for tests and non-streaming users; the scan
+     * loops build only the classes they need.
      */
     BlockBits blockAt(size_t idx);
 
@@ -327,7 +306,18 @@ class StreamCursor
      * bitmaps and return the byte found, or '\0' at end of input.  The
      * position lands on the returned byte.
      */
-    char skipWhitespace();
+    char
+    skipWhitespace()
+    {
+        // Fast path: compact JSON rarely has whitespace at all; answer
+        // from the raw byte before touching any bitmap.
+        if (pos_ < len_) {
+            char c = *mem(pos_);
+            if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
+                return c;
+        }
+        return scans_->skip_whitespace(*this);
+    }
 
     /** Total number of blocks that have been classified so far. */
     size_t classifiedBlocks() const { return classified_blocks_; }
@@ -368,7 +358,9 @@ class StreamCursor
     /// @}
 
   private:
-    void classifyThrough(size_t idx);
+    // The compiled loops read and advance the cursor's state directly.
+    template <class Policy>
+    friend struct ScanLoops;
 
     bool atEndSlow();
 
@@ -426,7 +418,7 @@ class StreamCursor
     const char* data_;
     size_t len_;
     size_t pos_ = 0;
-    bool scalar_classifier_ = false;
+    const Scans* scans_;
 
     ClassifierCarry carry_{};
     StringBits strings_{};

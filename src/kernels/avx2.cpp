@@ -1,9 +1,7 @@
 /**
  * @file
- * AVX2 kernel: 32-byte vector compares for the equality bitmaps,
- * carry-less multiplication (PCLMUL) for the prefix XOR, and PDEP
- * (BMI2) for O(1) bit selection — the configuration the paper's
- * Algorithm 3 measurements assume (Haswell and newer).
+ * AVX2 kernel record: the Avx2 policy (kernels/avx2.h) behind a cpuid
+ * probe.
  *
  * Compiled with -mavx2 -mbmi -mbmi2 -mpclmul -mlzcnt only in this TU
  * (see src/CMakeLists.txt); the cpuid probe gates it at runtime.
@@ -12,103 +10,11 @@
 
 #if JSONSKI_KERNELS_X86
 
-#include <immintrin.h>
-
-#include "util/bits.h"
+#include "kernels/avx2.h"
+#include "kernels/policy.h"
 
 namespace jsonski::kernels {
 namespace {
-
-struct Vecs
-{
-    __m256i lo, hi;
-};
-
-Vecs
-load64(const char* data)
-{
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(data)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(data + 32))};
-}
-
-uint64_t
-eqMask(const Vecs& x, char c)
-{
-    __m256i needle = _mm256_set1_epi8(c);
-    uint32_t m_lo = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(x.lo, needle)));
-    uint32_t m_hi = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(x.hi, needle)));
-    return (static_cast<uint64_t>(m_hi) << 32) | m_lo;
-}
-
-RawBits64
-rawBits(const char* data)
-{
-    Vecs x = load64(data);
-    RawBits64 r;
-    r.backslash = eqMask(x, '\\');
-    r.quote = eqMask(x, '"');
-    r.open_brace = eqMask(x, '{');
-    r.close_brace = eqMask(x, '}');
-    r.open_bracket = eqMask(x, '[');
-    r.close_bracket = eqMask(x, ']');
-    r.colon = eqMask(x, ':');
-    r.comma = eqMask(x, ',');
-    r.whitespace = eqMask(x, ' ') | eqMask(x, '\t') | eqMask(x, '\n') |
-                   eqMask(x, '\r');
-    return r;
-}
-
-StringRaw
-stringRaw(const char* data)
-{
-    Vecs x = load64(data);
-    return {eqMask(x, '\\'), eqMask(x, '"')};
-}
-
-uint64_t
-eqBits(const char* data, char c)
-{
-    return eqMask(load64(data), c);
-}
-
-uint64_t
-whitespaceBits(const char* data)
-{
-    // bytes <= 0x20  <=>  max(byte, 0x20) == 0x20 (unsigned)
-    Vecs x = load64(data);
-    __m256i limit = _mm256_set1_epi8(0x20);
-    uint32_t m_lo = static_cast<uint32_t>(_mm256_movemask_epi8(
-        _mm256_cmpeq_epi8(_mm256_max_epu8(x.lo, limit), limit)));
-    uint32_t m_hi = static_cast<uint32_t>(_mm256_movemask_epi8(
-        _mm256_cmpeq_epi8(_mm256_max_epu8(x.hi, limit), limit)));
-    return (static_cast<uint64_t>(m_hi) << 32) | m_lo;
-}
-
-bool
-asciiBlock(const char* p)
-{
-    Vecs x = load64(p);
-    return (_mm256_movemask_epi8(x.lo) | _mm256_movemask_epi8(x.hi)) ==
-           0;
-}
-
-uint64_t
-clmulPrefixXor(uint64_t x)
-{
-    __m128i v = _mm_set_epi64x(0, static_cast<int64_t>(x));
-    __m128i ones = _mm_set1_epi8(static_cast<char>(0xFF));
-    __m128i r = _mm_clmulepi64_si128(v, ones, 0);
-    return static_cast<uint64_t>(_mm_cvtsi128_si64(r));
-}
-
-int
-pdepSelectBit(uint64_t x, int k)
-{
-    return bits::trailingZeros(_pdep_u64(uint64_t{1} << (k - 1), x));
-}
 
 bool
 supported()
@@ -121,18 +27,7 @@ supported()
 
 } // namespace
 
-const Kernel kAvx2Kernel = {
-    "avx2",
-    /*priority=*/2,
-    supported,
-    rawBits,
-    stringRaw,
-    eqBits,
-    whitespaceBits,
-    asciiBlock,
-    clmulPrefixXor,
-    pdepSelectBit,
-};
+const Kernel kAvx2Kernel = makeKernel<Avx2>(/*priority=*/2, supported);
 
 } // namespace jsonski::kernels
 

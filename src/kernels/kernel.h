@@ -3,11 +3,13 @@
  * Runtime SIMD kernel dispatch.
  *
  * The bit-parallel substrate (64-byte block classification, prefix-XOR,
- * PDEP-select, ASCII screening for UTF-8 validation) is the only part
- * of the codebase whose machine code depends on the instruction set.
- * Instead of baking one ISA in at build time with -march=native, every
- * variant is compiled into its own translation unit with per-file
- * target options and selected at runtime:
+ * PDEP-select, ASCII screening for UTF-8 validation) and the streaming
+ * scan loops built on it are the only parts of the codebase whose
+ * machine code depends on the instruction set.  Instead of baking one
+ * ISA in at build time with -march=native, every variant is defined
+ * once as a policy (kernels/policy.h), compiled into its own
+ * translation units with per-file target options, and selected at
+ * runtime:
  *
  *   - "avx2"     — 32-byte vector compares, CLMUL prefix-XOR, PDEP
  *                  select (Haswell+; what the paper's numbers assume)
@@ -56,8 +58,11 @@ struct StringRaw
 
 /**
  * One compiled kernel: a name, a cpuid probe, and the ISA-sensitive
- * primitives as plain function pointers.  All block functions read
- * exactly 64 bytes.
+ * primitives as plain function pointers (wrappers of the kernel's
+ * policy, kernels/policy.h) for callers that dispatch per call.  All
+ * block functions read exactly 64 bytes.  The streaming hot loops do
+ * not go through this table: they are compiled per kernel
+ * (intervals/scans.h).
  */
 struct Kernel
 {
@@ -134,20 +139,6 @@ inline std::string_view
 activeName()
 {
     return active().name;
-}
-
-/** Dispatched word-select: position of the k-th (1-based) set bit. */
-inline int
-selectBit(uint64_t x, int k)
-{
-    return active().select_bit(x, k);
-}
-
-/** Dispatched prefix XOR over a word. */
-inline uint64_t
-prefixXor(uint64_t x)
-{
-    return active().prefix_xor(x);
 }
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * Portable scalar kernel: plain loops and SWAR over uint64_t only, no
- * intrinsics.  Runnable on every host; the reference everything else is
+ * Portable scalar kernel record: the Scalar policy (kernels/scalar.h).
+ * Runnable on every host; the reference everything else is
  * differentially tested against, and the floor the per-kernel bench
  * sweep measures the SIMD speedup from (paper §4).
  *
@@ -10,88 +10,11 @@
  * src/CMakeLists.txt per-source options).
  */
 #include "kernels/kernels_internal.h"
-
-#include "util/bits.h"
+#include "kernels/policy.h"
+#include "kernels/scalar.h"
 
 namespace jsonski::kernels {
 namespace {
-
-// 64 bytes per block (== intervals::kBlockSize; kernels sit below the
-// intervals layer, so the constant is not imported from there).
-constexpr size_t kBlockSize = 64;
-
-RawBits64
-rawBits(const char* data)
-{
-    RawBits64 r{};
-    for (size_t i = 0; i < kBlockSize; ++i) {
-        uint64_t bit = uint64_t{1} << i;
-        switch (data[i]) {
-          case '\\': r.backslash |= bit; break;
-          case '"': r.quote |= bit; break;
-          case '{': r.open_brace |= bit; break;
-          case '}': r.close_brace |= bit; break;
-          case '[': r.open_bracket |= bit; break;
-          case ']': r.close_bracket |= bit; break;
-          case ':': r.colon |= bit; break;
-          case ',': r.comma |= bit; break;
-          case ' ':
-          case '\t':
-          case '\n':
-          case '\r': r.whitespace |= bit; break;
-          default: break;
-        }
-    }
-    return r;
-}
-
-StringRaw
-stringRaw(const char* data)
-{
-    StringRaw r{};
-    for (size_t i = 0; i < kBlockSize; ++i) {
-        uint64_t bit = uint64_t{1} << i;
-        if (data[i] == '\\')
-            r.backslash |= bit;
-        else if (data[i] == '"')
-            r.quote |= bit;
-    }
-    return r;
-}
-
-uint64_t
-eqBits(const char* data, char c)
-{
-    uint64_t out = 0;
-    for (size_t i = 0; i < kBlockSize; ++i) {
-        if (data[i] == c)
-            out |= uint64_t{1} << i;
-    }
-    return out;
-}
-
-uint64_t
-whitespaceBits(const char* data)
-{
-    uint64_t out = 0;
-    for (size_t i = 0; i < kBlockSize; ++i) {
-        if (static_cast<unsigned char>(data[i]) <= 0x20)
-            out |= uint64_t{1} << i;
-    }
-    return out;
-}
-
-bool
-asciiBlock(const char* p)
-{
-    uint64_t acc = 0;
-    for (int i = 0; i < 8; ++i) {
-        uint64_t w;
-        __builtin_memcpy(&w, p + i * 8, 8);
-        acc |= w;
-    }
-    return (acc & 0x8080808080808080ULL) == 0;
-}
 
 bool
 supported()
@@ -101,17 +24,6 @@ supported()
 
 } // namespace
 
-const Kernel kScalarKernel = {
-    "scalar",
-    /*priority=*/0,
-    supported,
-    rawBits,
-    stringRaw,
-    eqBits,
-    whitespaceBits,
-    asciiBlock,
-    bits::prefixXor, // log-step shift cascade (util/bits.h)
-    bits::selectBit, // clear-lowest loop (util/bits.h)
-};
+const Kernel kScalarKernel = makeKernel<Scalar>(/*priority=*/0, supported);
 
 } // namespace jsonski::kernels

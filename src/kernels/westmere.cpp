@@ -1,9 +1,7 @@
 /**
  * @file
- * Westmere-class kernel: 16-byte SSE compares for the equality bitmaps
- * and carry-less multiplication (PCLMUL) for the prefix XOR — the 2010
- * ISA baseline simdjson calls "westmere".  No BMI2, so bit selection
- * stays the portable clear-lowest loop.
+ * Westmere-class kernel record: the Westmere policy
+ * (kernels/westmere.h) behind a cpuid probe.
  *
  * Compiled with -msse4.2 -mpclmul only in this TU (see
  * src/CMakeLists.txt); the cpuid probe gates it at runtime.
@@ -12,105 +10,11 @@
 
 #if JSONSKI_KERNELS_X86
 
-#include <immintrin.h>
-
-#include "util/bits.h"
+#include "kernels/policy.h"
+#include "kernels/westmere.h"
 
 namespace jsonski::kernels {
 namespace {
-
-struct Vecs
-{
-    __m128i v[4];
-};
-
-Vecs
-load64(const char* data)
-{
-    Vecs x;
-    for (int i = 0; i < 4; ++i)
-        x.v[i] = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(data + i * 16));
-    return x;
-}
-
-uint64_t
-eqMask(const Vecs& x, char c)
-{
-    __m128i needle = _mm_set1_epi8(c);
-    uint64_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-        uint64_t m = static_cast<uint32_t>(
-            _mm_movemask_epi8(_mm_cmpeq_epi8(x.v[i], needle)));
-        out |= m << (i * 16);
-    }
-    return out;
-}
-
-RawBits64
-rawBits(const char* data)
-{
-    Vecs x = load64(data);
-    RawBits64 r;
-    r.backslash = eqMask(x, '\\');
-    r.quote = eqMask(x, '"');
-    r.open_brace = eqMask(x, '{');
-    r.close_brace = eqMask(x, '}');
-    r.open_bracket = eqMask(x, '[');
-    r.close_bracket = eqMask(x, ']');
-    r.colon = eqMask(x, ':');
-    r.comma = eqMask(x, ',');
-    r.whitespace = eqMask(x, ' ') | eqMask(x, '\t') | eqMask(x, '\n') |
-                   eqMask(x, '\r');
-    return r;
-}
-
-StringRaw
-stringRaw(const char* data)
-{
-    Vecs x = load64(data);
-    return {eqMask(x, '\\'), eqMask(x, '"')};
-}
-
-uint64_t
-eqBits(const char* data, char c)
-{
-    return eqMask(load64(data), c);
-}
-
-uint64_t
-whitespaceBits(const char* data)
-{
-    // bytes <= 0x20  <=>  max(byte, 0x20) == 0x20 (unsigned)
-    Vecs x = load64(data);
-    __m128i limit = _mm_set1_epi8(0x20);
-    uint64_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-        uint64_t m = static_cast<uint32_t>(_mm_movemask_epi8(
-            _mm_cmpeq_epi8(_mm_max_epu8(x.v[i], limit), limit)));
-        out |= m << (i * 16);
-    }
-    return out;
-}
-
-bool
-asciiBlock(const char* p)
-{
-    Vecs x = load64(p);
-    int acc = 0;
-    for (int i = 0; i < 4; ++i)
-        acc |= _mm_movemask_epi8(x.v[i]);
-    return acc == 0;
-}
-
-uint64_t
-clmulPrefixXor(uint64_t x)
-{
-    __m128i v = _mm_set_epi64x(0, static_cast<int64_t>(x));
-    __m128i ones = _mm_set1_epi8(static_cast<char>(0xFF));
-    __m128i r = _mm_clmulepi64_si128(v, ones, 0);
-    return static_cast<uint64_t>(_mm_cvtsi128_si64(r));
-}
 
 bool
 supported()
@@ -122,18 +26,7 @@ supported()
 
 } // namespace
 
-const Kernel kWestmereKernel = {
-    "westmere",
-    /*priority=*/1,
-    supported,
-    rawBits,
-    stringRaw,
-    eqBits,
-    whitespaceBits,
-    asciiBlock,
-    clmulPrefixXor,
-    bits::selectBit, // no BMI2 at this ISA level
-};
+const Kernel kWestmereKernel = makeKernel<Westmere>(/*priority=*/1, supported);
 
 } // namespace jsonski::kernels
 

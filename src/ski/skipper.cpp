@@ -2,13 +2,12 @@
 
 #include <cassert>
 
-#include "kernels/kernel.h"
 #include "util/error.h"
 
 namespace jsonski::ski {
 
-using intervals::BlockBits;
 using intervals::kBlockSize;
+using intervals::RunStop;
 
 void
 Skipper::consume(char expected)
@@ -111,51 +110,13 @@ Skipper::closeContainer(bool object, uint64_t depth, Group g,
         account(g, start, cur_.pos());
         return;
     }
-    while (!cur_.atEnd()) {
-        telemetry::count(telemetry::Counter::PairingProbeWords);
-        size_t base = cur_.blockIndex() * kBlockSize;
-        uint64_t opens = cur_.maskFromPos(cur_.bits(open_ch));
-        uint64_t closes = cur_.maskFromPos(cur_.bits(close_ch));
-        // Walk the word interval by interval (Algorithm 4): each opener
-        // bounds a structural interval; closers inside it are counted
-        // against the unpaired-opener total (Theorem 4.3).  The
-        // unpaired count is kept in 64 bits: an all-opener input grows
-        // it by at most 64 per block, so it is bounded by size() and
-        // cannot overflow the way a 32-bit counter could.
-        for (;;) {
-            if (opens == 0) {
-                uint64_t n = static_cast<uint64_t>(bits::popcount(closes));
-                if (n >= depth) {
-                    int off =
-                        kernels::selectBit(closes, static_cast<int>(depth));
-                    cur_.setPos(base + static_cast<size_t>(off) + 1);
-                    account(g, start, cur_.pos());
-                    return;
-                }
-                depth -= n;
-                break; // interval continues into the next word
-            }
-            uint64_t below = bits::maskBelowLowest(opens);
-            uint64_t closes_before = closes & below;
-            uint64_t n = static_cast<uint64_t>(bits::popcount(closes_before));
-            if (n >= depth) {
-                int off =
-                    kernels::selectBit(closes_before, static_cast<int>(depth));
-                cur_.setPos(base + static_cast<size_t>(off) + 1);
-                account(g, start, cur_.pos());
-                return;
-            }
-            depth = depth - n + 1; // the interval-ending opener is unpaired
-            closes &= ~below;
-            opens = bits::clearLowest(opens);
-        }
-        cur_.setPos(base + kBlockSize);
-    }
-    cur_.setPos(cur_.size()); // never leave the position past the input
-    throw ParseError(object ? ErrorCode::UnterminatedObject
-                            : ErrorCode::UnterminatedArray,
-                     object ? "unterminated object" : "unterminated array",
-                     start);
+    if (!cur_.scans().close_container(cur_, open_ch, close_ch, depth))
+        throw ParseError(object ? ErrorCode::UnterminatedObject
+                                : ErrorCode::UnterminatedArray,
+                         object ? "unterminated object"
+                                : "unterminated array",
+                         start);
+    account(g, start, cur_.pos());
 }
 
 void
@@ -163,43 +124,21 @@ Skipper::overPrimitive(Group g)
 {
     telemetry::PhaseScope phase(telemetry::Phase::Skip);
     size_t start = cur_.pos();
-    while (!cur_.atEnd()) {
-        size_t base = cur_.blockIndex() * kBlockSize;
-        uint64_t stops = cur_.maskFromPos(cur_.bits3(',', '}', ']'));
-        if (stops != 0) {
-            cur_.setPos(base +
-                        static_cast<size_t>(bits::trailingZeros(stops)));
-            account(g, start, cur_.pos());
-            return;
-        }
-        cur_.setPos(base + kBlockSize);
-    }
-    // A bare root-level primitive runs to the end of input.
-    cur_.setPos(cur_.size());
+    cur_.scans().primitive_end(cur_);
     account(g, start, cur_.pos());
 }
 
 size_t
 Skipper::stringEnd(size_t open_pos)
 {
-    size_t block = open_pos / kBlockSize;
-    int off = static_cast<int>(open_pos % kBlockSize);
-    uint64_t q = cur_.stringsAt(block).quote & ~bits::maskBelow(off + 1);
-    while (q == 0) {
-        ++block;
-        // ensureBlock refills from the chunk source when the string
-        // runs past the ingestion frontier; only a false return (the
-        // input truly ends inside the string) is an error.
-        if (!cur_.ensureBlock(block))
-            throw ParseError(ErrorCode::UnterminatedString,
-                             "unterminated string", open_pos);
-        q = cur_.stringsAt(block).quote;
-    }
-    return block * kBlockSize +
-           static_cast<size_t>(bits::trailingZeros(q)) + 1;
+    size_t end = cur_.scans().string_end(cur_, open_pos);
+    if (end == intervals::kUnterminated)
+        throw ParseError(ErrorCode::UnterminatedString,
+                         "unterminated string", open_pos);
+    return end;
 }
 
-Skipper::ScanStop
+RunStop
 Skipper::scanPrimitives(bool closer_is_brace, size_t max_seps, size_t& seps,
                         Group g)
 {
@@ -239,7 +178,7 @@ Skipper::scanPrimitives(bool closer_is_brace, size_t max_seps, size_t& seps,
                                  start);
             cur_.setPos(k + 1);
             account(g, start, cur_.pos());
-            return ScanStop::SepBudget;
+            return RunStop::SepBudget;
         }
         if (n != 0) {
             size_t last = index_->selectComma(level, start, stop, n);
@@ -254,61 +193,24 @@ Skipper::scanPrimitives(bool closer_is_brace, size_t max_seps, size_t& seps,
         account(g, start, cur_.pos());
         char c = cur_.current();
         if (c == '{')
-            return ScanStop::OpenBrace;
+            return RunStop::OpenBrace;
         if (c == '[')
-            return ScanStop::OpenBracket;
+            return RunStop::OpenBracket;
         if (c == closer_ch)
-            return ScanStop::Closer;
+            return RunStop::Closer;
         throw ParseError(ErrorCode::IndexMismatch,
                          "structural index points at a foreign stop",
                          stop);
     }
-    while (!cur_.atEnd()) {
-        size_t base = cur_.blockIndex() * kBlockSize;
-        uint64_t stops =
-            cur_.maskFromPos(cur_.bits3('{', '[', closer_ch));
-        uint64_t commas = cur_.maskFromPos(cur_.bits(','));
-        uint64_t before =
-            stops != 0 ? bits::maskBelowLowest(stops) : ~uint64_t{0};
-        uint64_t commas_before = commas & before;
-        size_t n = static_cast<size_t>(bits::popcount(commas_before));
-        size_t budget = max_seps - seps;
-        if (n >= budget) {
-            int off =
-                kernels::selectBit(commas_before, static_cast<int>(budget));
-            seps = max_seps;
-            cur_.setPos(base + static_cast<size_t>(off) + 1);
-            account(g, start, cur_.pos());
-            return ScanStop::SepBudget;
-        }
-        seps += n;
-        if (n != 0) {
-            // Release attribute names already scanned past: retain
-            // only from after the last consumed separator, so the
-            // keyBefore forward reparse (object mode) always reads
-            // resident bytes while retention stays bounded by one
-            // key, not by the length of the primitive run.
-            int last = 63 - bits::leadingZeros(commas_before);
-            cur_.setScanHold(base + static_cast<size_t>(last) + 1);
-        }
-        if (stops != 0) {
-            cur_.setPos(base +
-                        static_cast<size_t>(bits::trailingZeros(stops)));
-            account(g, start, cur_.pos());
-            char c = cur_.current();
-            if (c == '{')
-                return ScanStop::OpenBrace;
-            if (c == '[')
-                return ScanStop::OpenBracket;
-            return ScanStop::Closer;
-        }
-        cur_.setPos(base + kBlockSize);
-    }
-    cur_.setPos(cur_.size());
-    throw ParseError(closer_is_brace ? ErrorCode::UnterminatedObject
-                                     : ErrorCode::UnterminatedArray,
-                     "unexpected end of input while skipping primitives",
-                     start);
+    RunStop stop =
+        cur_.scans().primitive_run(cur_, closer_ch, max_seps - seps, seps);
+    if (stop == RunStop::End)
+        throw ParseError(closer_is_brace ? ErrorCode::UnterminatedObject
+                                         : ErrorCode::UnterminatedArray,
+                         "unexpected end of input while skipping primitives",
+                         start);
+    account(g, start, cur_.pos());
+    return stop;
 }
 
 Skipper::AttrResult
@@ -379,14 +281,14 @@ Skipper::toAttr(TypeFilter filter, Group g)
         // whole run of primitive attributes (enhanced goOverPriAttrs of
         // Algorithm 5) until a container value or the object end.
         size_t seps = 0;
-        ScanStop stop = scanPrimitives(/*closer_is_brace=*/true,
+        RunStop stop = scanPrimitives(/*closer_is_brace=*/true,
                                        /*max_seps=*/SIZE_MAX, seps, g);
-        if (stop == ScanStop::Closer) {
+        if (stop == RunStop::Closer) {
             cur_.advance(1); // consume '}'
             cur_.clearScanHold();
             return {};
         }
-        bool is_object_value = (stop == ScanStop::OpenBrace);
+        bool is_object_value = (stop == RunStop::OpenBrace);
         if (is_object_value == (filter == TypeFilter::Object)) {
             AttrResult r = keyBefore(cur_.pos());
             r.found = true;
@@ -507,10 +409,10 @@ Skipper::toTypedElem(char open_char, size_t& idx, size_t limit, Group g)
         }
         // Primitive run: batch-skip, counting elements via separators.
         size_t seps = 0;
-        ScanStop stop =
+        RunStop stop =
             scanPrimitives(/*closer_is_brace=*/false, limit - idx, seps, g);
         idx += seps;
-        if (stop == ScanStop::Closer) {
+        if (stop == RunStop::Closer) {
             cur_.advance(1); // consume ']'
             cur_.clearScanHold();
             return ElemStop::End;
@@ -537,9 +439,9 @@ Skipper::toContainerElem(Group g)
             return ElemStop::Found;
         }
         size_t seps = 0;
-        ScanStop stop =
+        RunStop stop =
             scanPrimitives(/*closer_is_brace=*/false, SIZE_MAX, seps, g);
-        if (stop == ScanStop::Closer) {
+        if (stop == RunStop::Closer) {
             cur_.advance(1);
             cur_.clearScanHold();
             return ElemStop::End;
@@ -588,10 +490,10 @@ Skipper::overElems(size_t count, size_t& idx, Group g)
                              "expected ',' or ']'", cur_.pos());
         }
         size_t seps = 0;
-        ScanStop stop =
+        RunStop stop =
             scanPrimitives(/*closer_is_brace=*/false, target - idx, seps, g);
         idx += seps;
-        if (stop == ScanStop::Closer) {
+        if (stop == RunStop::Closer) {
             cur_.advance(1);
             cur_.clearScanHold();
             return ElemStop::End;

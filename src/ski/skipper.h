@@ -207,8 +207,6 @@ class Skipper
     }
 
   private:
-    enum class ScanStop { OpenBrace, OpenBracket, Closer, SepBudget };
-
     /**
      * Core of the counting-based pairing strategy: advance past the
      * closer that brings @p depth unpaired openers to zero.  The scan
@@ -244,8 +242,9 @@ class Skipper
      *                        array context (']').
      * @param seps            incremented per separator consumed.
      */
-    ScanStop scanPrimitives(bool closer_is_brace, size_t max_seps,
-                            size_t& seps, Group g);
+    intervals::RunStop scanPrimitives(bool closer_is_brace,
+                                      size_t max_seps, size_t& seps,
+                                      Group g);
 
     /**
      * Recover the attribute name that precedes the container value at

@@ -48,7 +48,7 @@ class Driver
            std::string_view json, MatchSink* sink, StreamResult& result)
         : q_(query),
           options_(options),
-          cur_(json, options.scalar_classifier),
+          cur_(json),
           skip_(cur_, &result.stats),
           sink_(sink),
           result_(result)
@@ -61,7 +61,7 @@ class Driver
            MatchSink* sink, StreamResult& result)
         : q_(query),
           options_(options),
-          cur_(source, chunk_bytes, options.scalar_classifier),
+          cur_(source, chunk_bytes),
           skip_(cur_, &result.stats),
           sink_(sink),
           result_(result)
@@ -75,6 +75,7 @@ class Driver
     {
         result_.input_bytes = cur_.size();
         result_.ingest = cur_.ingestStats();
+        result_.kernel = cur_.scans().kernel;
     }
 
     /**
@@ -657,7 +658,7 @@ class NfaDriver
               StreamResult& result)
         : q_(query),
           options_(options),
-          cur_(json, options.scalar_classifier),
+          cur_(json),
           skip_(cur_, &result.stats),
           sink_(sink),
           result_(result)
@@ -670,7 +671,7 @@ class NfaDriver
               MatchSink* sink, StreamResult& result)
         : q_(query),
           options_(options),
-          cur_(source, chunk_bytes, options.scalar_classifier),
+          cur_(source, chunk_bytes),
           skip_(cur_, &result.stats),
           sink_(sink),
           result_(result)
@@ -684,6 +685,7 @@ class NfaDriver
     {
         result_.input_bytes = cur_.size();
         result_.ingest = cur_.ingestStats();
+        result_.kernel = cur_.scans().kernel;
     }
 
     /**

@@ -43,6 +43,9 @@ struct StreamResult
 
     /** Chunked-ingestion accounting; zeros for whole-buffer runs. */
     intervals::StreamCursor::IngestStats ingest;
+
+    /** Kernel whose scan loops ran the pass (kernels::Kernel::name). */
+    const char* kernel = nullptr;
 };
 
 /**
@@ -56,9 +59,6 @@ struct StreamerOptions
 
     /** Batched primitive-run skipping (enhanced goOverPriAttrs). */
     bool batch_primitives = true;
-
-    /** Use the scalar reference classifier instead of SIMD. */
-    bool scalar_classifier = false;
 };
 
 /**

@@ -10,10 +10,15 @@
  * count-trailing-zeros and interval ends are found at the lowest bit.
  *
  * Everything here is strictly portable: the ISA-accelerated variants of
- * selectBit (PDEP) and prefixXor (CLMUL) live in the runtime-dispatched
- * kernels (src/kernels/) — hot paths call kernels::selectBit /
- * kernels::prefixXor instead, and these functions double as the scalar
- * kernel's implementation and the differential-test reference.
+ * selectBit (PDEP) and prefixXor (CLMUL) live in the kernel policies
+ * (src/kernels/), and these functions double as the scalar policy's
+ * implementation and the differential-test reference.
+ *
+ * Every function is `static inline` (internal linkage): the scan loops
+ * are compiled once per SIMD kernel with that kernel's -m flags, and
+ * each translation unit must keep its own copy — popcount is one
+ * `popcnt` instruction under the kernel flags and a libgcc call under
+ * the baseline ones (kernels/policy.h, "Flag discipline").
  */
 #ifndef JSONSKI_UTIL_BITS_H
 #define JSONSKI_UTIL_BITS_H
@@ -24,35 +29,35 @@
 namespace jsonski::bits {
 
 /** Number of set bits in @p x. */
-inline int
+static inline int
 popcount(uint64_t x)
 {
     return __builtin_popcountll(x);
 }
 
 /** Index (0-based) of the lowest set bit; undefined when x == 0. */
-inline int
+static inline int
 trailingZeros(uint64_t x)
 {
     return __builtin_ctzll(x);
 }
 
 /** Index of the highest set bit; undefined when x == 0. */
-inline int
+static inline int
 leadingZeros(uint64_t x)
 {
     return __builtin_clzll(x);
 }
 
 /** Isolate the lowest set bit (x & -x); 0 stays 0. */
-inline uint64_t
+static inline uint64_t
 lowestBit(uint64_t x)
 {
     return x & (0 - x);
 }
 
 /** Clear the lowest set bit (x & (x - 1)); 0 stays 0. */
-inline uint64_t
+static inline uint64_t
 clearLowest(uint64_t x)
 {
     return x & (x - 1);
@@ -60,14 +65,14 @@ clearLowest(uint64_t x)
 
 /** Mask of all bits strictly below the lowest set bit of @p x.
  *  For x == 0 the result is all ones. */
-inline uint64_t
+static inline uint64_t
 maskBelowLowest(uint64_t x)
 {
     return lowestBit(x) - 1;
 }
 
 /** Mask with bits [0, i) set. i must be in [0, 64]. */
-inline uint64_t
+static inline uint64_t
 maskBelow(int i)
 {
     return i >= 64 ? ~uint64_t{0} : ((uint64_t{1} << i) - 1);
@@ -83,7 +88,7 @@ maskBelow(int i)
  *
  * @pre 1 <= k <= popcount(x)
  */
-inline int
+static inline int
 selectBit(uint64_t x, int k)
 {
     for (int i = 1; i < k; ++i)
@@ -100,7 +105,7 @@ selectBit(uint64_t x, int k)
  * the SIMD kernels replace it with one carry-less multiplication by
  * all-ones.
  */
-inline uint64_t
+static inline uint64_t
 prefixXor(uint64_t x)
 {
     x ^= x << 1;
@@ -113,7 +118,7 @@ prefixXor(uint64_t x)
 }
 
 /** Broadcast one byte across a 64-bit word (for SWAR fallbacks). */
-inline uint64_t
+static inline uint64_t
 broadcastByte(uint8_t b)
 {
     return uint64_t{0x0101010101010101ULL} * b;

@@ -1,13 +1,15 @@
 /**
  * @file
  * The ablation knobs must never change results — only performance.
- * Every option combination is run against every paper query on small
- * generated datasets and must agree with the default configuration.
+ * Every option combination, under every runnable kernel, is run
+ * against every paper query on small generated datasets and must agree
+ * with the default configuration.
  */
 #include <gtest/gtest.h>
 
 #include "gen/datasets.h"
 #include "harness/engines.h"
+#include "kernels/kernel.h"
 #include "path/parser.h"
 #include "ski/streamer.h"
 
@@ -39,11 +41,15 @@ TEST(Ablation, AllOptionCombinationsAgree)
         EXPECT_FALSE(reference.empty()) << spec.id;
         for (bool type_filter : {false, true}) {
             for (bool batch : {false, true}) {
-                for (bool scalar : {false, true}) {
-                    StreamerOptions opt{type_filter, batch, scalar};
+                // The former scalar-classifier knob: every runnable
+                // kernel's compiled scan loops.
+                for (const jsonski::kernels::Kernel* k :
+                     jsonski::kernels::runnable()) {
+                    jsonski::kernels::Override pin(*k);
+                    StreamerOptions opt{type_filter, batch};
                     EXPECT_EQ(runWith(json, q, opt), reference)
                         << spec.id << " tf=" << type_filter
-                        << " batch=" << batch << " scalar=" << scalar;
+                        << " batch=" << batch << " kernel=" << k->name;
                 }
             }
         }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "util/rng.h"
@@ -28,16 +29,6 @@ TEST(CursorLazy, BitsMatchEagerClassification)
         EXPECT_EQ(lazy.bits(':'), full.colon) << base;
         EXPECT_EQ(lazy.bits(','), full.comma) << base;
     }
-}
-
-TEST(CursorLazy, Bits2And3AreUnions)
-{
-    std::string s = R"([{"k": [1, 2]}, {"k": [3]}])";
-    s.resize(64, ' ');
-    StreamCursor cur(s);
-    EXPECT_EQ(cur.bits2('{', '['), cur.bits('{') | cur.bits('['));
-    EXPECT_EQ(cur.bits3(',', '}', ']'),
-              cur.bits(',') | cur.bits('}') | cur.bits(']'));
 }
 
 TEST(CursorLazy, StringLayerMasksLazily)
@@ -66,22 +57,23 @@ TEST(CursorLazy, StringsAtThreadsCarriesForward)
     EXPECT_NE(b2.quote, 0u); // closing quote lives here
 }
 
-TEST(CursorLazy, ScalarClassifierModeAgrees)
+TEST(CursorLazy, AgreesWithReferenceClassifier)
 {
     jsonski::Rng rng(5);
     std::string s;
     static constexpr char chars[] = "{}[]:,\"\\ ab1\n";
     for (int i = 0; i < 500; ++i)
         s += chars[rng.below(sizeof(chars) - 1)];
-    StreamCursor simd(s, /*scalar_classifier=*/false);
-    StreamCursor scalar(s, /*scalar_classifier=*/true);
+    StreamCursor cur(s);
+    ClassifierCarry carry;
     for (size_t base = 0; base < s.size(); base += kBlockSize) {
-        simd.setPos(base);
-        scalar.setPos(base);
-        EXPECT_EQ(simd.strings().in_string, scalar.strings().in_string)
-            << base;
-        EXPECT_EQ(simd.bits('{'), scalar.bits('{')) << base;
-        EXPECT_EQ(simd.bits(','), scalar.bits(',')) << base;
+        BlockBits want = classifyBlockReference(
+            s.data() + base, std::min(kBlockSize, s.size() - base), carry);
+        cur.setPos(base);
+        EXPECT_EQ(cur.strings().in_string, want.in_string) << base;
+        EXPECT_EQ(cur.strings().quote, want.quote) << base;
+        EXPECT_EQ(cur.bits('{'), want.open_brace) << base;
+        EXPECT_EQ(cur.bits(','), want.comma) << base;
     }
 }
 

@@ -15,18 +15,30 @@
  *   - every 64-byte block of the seam/fuzz corpus documents
  *     (src/testing), including the padded partial tail.
  *
+ * The scan loops compiled per kernel (intervals/scans.h) get the same
+ * treatment one level up: container close, primitive runs with a
+ * separator budget, string end and whitespace skip must leave the same
+ * position, separator count, ErrorCode and error position as the
+ * scalar instantiation, whole-buffer and chunked.
+ *
  * On hosts where only the scalar kernel passes its cpuid probe the
  * cross-kernel tests skip with a note instead of silently passing.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "intervals/chunk_source.h"
 #include "intervals/classifier.h"
+#include "intervals/cursor.h"
 #include "json/utf8.h"
 #include "kernels/kernel.h"
+#include "path/parser.h"
+#include "ski/skipper.h"
+#include "ski/streamer.h"
 #include "testing/differential.h"
 #include "util/bits.h"
 #include "util/error.h"
@@ -67,6 +79,39 @@ scalarKernel()
                             "host; cross-kernel differential skipped";    \
     } while (0)
 
+/** Handcrafted 64-byte block-boundary adversaries. */
+std::vector<std::string>
+adversarialBlocks()
+{
+    std::vector<std::string> blocks;
+    std::string b(kBlockSize, 'x');
+    b[63] = '\\'; // backslash at the last byte: carry into next block
+    blocks.push_back(b);
+    b = std::string(kBlockSize, 'x');
+    b[0] = '"'; // quote at byte 0: carry-in sensitive
+    blocks.push_back(b);
+    for (size_t run = 1; run <= 8; ++run) {
+        // Escape run of odd/even length ending exactly at byte 63.
+        b = std::string(kBlockSize, 'x');
+        for (size_t i = kBlockSize - run; i < kBlockSize; ++i)
+            b[i] = '\\';
+        blocks.push_back(b);
+    }
+    for (char closer : {'}', ']', ','}) {
+        // Structural character on the last byte.
+        b = std::string(kBlockSize, ' ');
+        b[63] = closer;
+        blocks.push_back(b);
+    }
+    blocks.push_back(std::string(kBlockSize, '\\'));
+    blocks.push_back(std::string(kBlockSize, '"'));
+    b.clear();
+    for (size_t i = 0; i < kBlockSize / 2; ++i)
+        b += "\\\"";
+    blocks.push_back(b);
+    return blocks;
+}
+
 /** 64-byte test blocks: random in three flavors + handcrafted
  *  boundary adversaries + every block of the fuzz/seam corpus. */
 std::vector<std::string>
@@ -102,26 +147,8 @@ testBlocks()
         blocks.push_back(b);
     }
 
-    // Boundary adversaries.
-    std::string b(kBlockSize, 'x');
-    b[63] = '\\'; // backslash at the last byte: carry into next block
-    blocks.push_back(b);
-    b = std::string(kBlockSize, 'x');
-    b[0] = '"'; // quote at byte 0: carry-in sensitive
-    blocks.push_back(b);
-    for (size_t run = 1; run <= 8; ++run) {
-        // Escape run of odd/even length ending exactly at byte 63.
-        b = std::string(kBlockSize, 'x');
-        for (size_t i = kBlockSize - run; i < kBlockSize; ++i)
-            b[i] = '\\';
-        blocks.push_back(b);
-    }
-    blocks.push_back(std::string(kBlockSize, '\\'));
-    blocks.push_back(std::string(kBlockSize, '"'));
-    b.clear();
-    for (size_t i = 0; i < kBlockSize / 2; ++i)
-        b += "\\\"";
-    blocks.push_back(b);
+    std::vector<std::string> adversaries = adversarialBlocks();
+    blocks.insert(blocks.end(), adversaries.begin(), adversaries.end());
 
     // Every full block of the corpus documents (the partial tails are
     // covered by the end-to-end document test below).
@@ -142,6 +169,167 @@ equalBits(const BlockBits& a, const BlockBits& b)
            a.open_bracket == b.open_bracket &&
            a.close_bracket == b.close_bracket && a.colon == b.colon &&
            a.comma == b.comma && a.whitespace == b.whitespace;
+}
+
+/**
+ * Documents whose structure lands on every edge the scan loops treat
+ * specially: a few shapes (escape runs, quoted metacharacters,
+ * primitive runs, nesting) shifted by 0..70 bytes of mixed whitespace
+ * after the opener, so each backslash run ends at byte 63, each quote
+ * sits at byte 0 of a block, and the final closer lands on a block's
+ * last byte for some shift; lengths cover partial tails.  The
+ * classifier's boundary adversaries follow, as the second block of a
+ * string value and of an array.  Each document is also cut short (the
+ * closer dropped, and at half length) for the error paths.
+ */
+std::vector<std::string>
+scanDocs()
+{
+    static const char* const shapes[] = {
+        R"({"a": [1, 2, "x\"y", {"b": "}"}], "c\\": "d\\\"",)"
+        R"( "e": [[], {}]})",
+        R"([1, "a,b", [2, 3], {"k": [4, "]"]}, null, true, "\\", 5,)"
+        R"( -1.5e3])",
+        R"(["\\\"", {"s": "\"{[", "t": 7}, [[["x"]]], 8,9)"
+        "\t,10\r\n"
+        R"(, "\\"])",
+        R"([0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,)"
+        R"(23,24,25,26,27,28,29,{"a":[1,2]},[3],"x",31])",
+        R"({"a": 1, "b": "s,", "c": null, "d": true, "e": 2.5, "f": "}",)"
+        R"( "g": 3, "h": [1], "i": 4, "k": {"x": 1}})",
+    };
+    std::vector<std::string> whole;
+    for (std::string_view shape : shapes) {
+        for (size_t pad = 0; pad <= 70; ++pad) {
+            std::string doc(shape.substr(0, 1));
+            for (size_t i = 0; i < pad; ++i)
+                doc += " \n \t \r"[i % 6];
+            doc.append(shape.substr(1));
+            whole.push_back(std::move(doc));
+        }
+    }
+    for (const std::string& block : adversarialBlocks()) {
+        whole.push_back("[\"" + std::string(kBlockSize - 2, 'y') + block +
+                        "\", 1]");
+        whole.push_back("[" + std::string(kBlockSize - 1, ' ') + block +
+                        "]");
+    }
+    std::vector<std::string> docs;
+    for (std::string& doc : whole) {
+        docs.push_back(doc.substr(0, doc.size() - 1));
+        docs.push_back(doc.substr(0, doc.size() / 2));
+        docs.push_back(std::move(doc));
+    }
+    return docs;
+}
+
+/** Up to four positions of @p doc where the reference classifier sees a
+ *  string open (@p open) or a whitespace run start outside strings. */
+std::vector<size_t>
+referencePositions(const std::string& doc, bool open)
+{
+    std::vector<size_t> out;
+    ClassifierCarry carry;
+    for (size_t base = 0; base < doc.size() && out.size() < 4;
+         base += kBlockSize) {
+        size_t len = std::min(kBlockSize, doc.size() - base);
+        BlockBits b =
+            intervals::classifyBlockReference(doc.data() + base, len, carry);
+        for (size_t i = 0; i < len && out.size() < 4; ++i) {
+            uint64_t bit = uint64_t{1} << i;
+            size_t p = base + i;
+            bool hit = open ? (b.quote & b.in_string & bit) != 0
+                            : (b.whitespace & bit) != 0 &&
+                                  (p == 0 || doc[p - 1] != ' ');
+            if (hit)
+                out.push_back(p);
+        }
+    }
+    return out;
+}
+
+/**
+ * Everything the scan loops decide on @p doc under the active kernel:
+ * one line per operation with its result, the final position, and the
+ * ErrorCode and position of any ParseError.  @p chunk = 0 feeds the
+ * document whole, otherwise in @p chunk-byte refills.
+ */
+std::vector<std::string>
+scanOutcomes(const std::string& doc, size_t chunk)
+{
+    using ski::Group;
+    using ski::Skipper;
+    using intervals::StreamCursor;
+    std::vector<std::string> out;
+    auto run = [&](const std::string& label, auto&& op) {
+        intervals::ViewSource src(doc);
+        std::optional<StreamCursor> cur;
+        if (chunk == 0)
+            cur.emplace(doc);
+        else
+            cur.emplace(src, chunk);
+        Skipper skip(*cur);
+        std::string r;
+        try {
+            r = op(*cur, skip);
+        } catch (const ParseError& e) {
+            r = "error " + std::string(errorCodeName(e.code())) + " at " +
+                std::to_string(e.position());
+        }
+        out.push_back(label + ": " + r + " pos=" + std::to_string(cur->pos()));
+    };
+
+    run("value", [](StreamCursor&, Skipper& s) {
+        s.overValue(Group::G2);
+        return std::string();
+    });
+    if (doc[0] == '[') {
+        run("close", [](StreamCursor& c, Skipper& s) {
+            c.setPos(1);
+            s.toAryEnd(Group::G5);
+            return std::string();
+        });
+        for (size_t budget : {1, 2, 3, 5, 31, 1000}) {
+            run("elems " + std::to_string(budget),
+                [budget](StreamCursor& c, Skipper& s) {
+                    c.setPos(1);
+                    size_t idx = 0;
+                    bool end = s.overElems(budget, idx, Group::G5) ==
+                               Skipper::ElemStop::End;
+                    return std::string(end ? "end" : "found") +
+                           " seps=" + std::to_string(idx);
+                });
+        }
+    }
+    if (doc[0] == '{') {
+        run("close", [](StreamCursor& c, Skipper& s) {
+            c.setPos(1);
+            s.toObjEnd(Group::G4);
+            return std::string();
+        });
+        for (auto filter :
+             {Skipper::TypeFilter::Object, Skipper::TypeFilter::Array}) {
+            run("attr", [filter](StreamCursor& c, Skipper& s) {
+                c.setPos(1);
+                Skipper::AttrResult r = s.toAttr(filter, Group::G1);
+                return std::to_string(r.found) + " key=" +
+                       std::to_string(r.key_begin) + ".." +
+                       std::to_string(r.key_end);
+            });
+        }
+    }
+    for (size_t p : referencePositions(doc, /*open=*/true)) {
+        run("string " + std::to_string(p), [p](StreamCursor&, Skipper& s) {
+            return std::to_string(s.stringEnd(p));
+        });
+    }
+    for (size_t p : referencePositions(doc, /*open=*/false)) {
+        run("space " + std::to_string(p), [p](StreamCursor& c, Skipper&) {
+            c.setPos(p);
+            return std::to_string(static_cast<int>(c.skipWhitespace()));
+        });
+    }
+    return out;
 }
 
 std::string
@@ -345,5 +533,43 @@ TEST(KernelEquivalence, Utf8VerdictsIdentical)
             EXPECT_EQ(got.ok, want.ok) << k->name;
             EXPECT_EQ(got.error_position, want.error_position) << k->name;
         }
+    }
+}
+
+TEST(KernelEquivalence, ScanLoopsAgreeWithScalar)
+{
+    auto alts = alternateKernels();
+    SKIP_WITHOUT_SIMD_KERNELS(alts);
+    const kernels::Kernel& ref = scalarKernel();
+    for (const std::string& doc : scanDocs()) {
+        for (size_t chunk : {0, 1, 63, 64, 65}) {
+            std::vector<std::string> want;
+            {
+                kernels::Override o(ref);
+                want = scanOutcomes(doc, chunk);
+            }
+            for (const kernels::Kernel* k : alts) {
+                kernels::Override o(*k);
+                EXPECT_EQ(scanOutcomes(doc, chunk), want)
+                    << k->name << " chunk " << chunk << " doc " << doc;
+            }
+        }
+    }
+}
+
+TEST(KernelEquivalence, OverrideSelectsTheStreamersScanLoops)
+{
+    const std::string doc = R"({"a": [1, {"b": "x"}, [2]], "c": 3})";
+    ski::Streamer streamer(path::parse("$.a[1].b"));
+    for (const kernels::Kernel* k : kernels::runnable()) {
+        kernels::Override o(*k);
+        EXPECT_STREQ(intervals::StreamCursor(doc).scans().kernel, k->name);
+        ski::StreamResult whole = streamer.run(doc);
+        EXPECT_EQ(whole.matches, 1u);
+        EXPECT_STREQ(whole.kernel, k->name);
+        intervals::ViewSource src(doc);
+        ski::StreamResult chunked = streamer.run(src, nullptr, 7);
+        EXPECT_EQ(chunked.matches, 1u);
+        EXPECT_STREQ(chunked.kernel, k->name);
     }
 }
