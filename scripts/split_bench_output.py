@@ -38,7 +38,7 @@ BANNER_TO_FILE = {
     "Figure 13": "fig13_memory.txt",
     "Figure 14": "fig14_scalability.txt",
     "Ablation": "ablation.txt",
-    "Extension: multi-query": "ext_multiquery.txt",
+    "multiquery": "multiquery.txt",
     "Extension: parallel JSONSki": "ext_parallel.txt",
     "Extension: descendant operator": "ext_descendant.txt",
 }

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 
-#include "intervals/cursor.h"
-#include "json/text.h"
-#include "ski/chunk_override.h"
+#include "ski/pass.h"
 #include "ski/sinks.h"
-#include "ski/skipper.h"
 #include "util/error.h"
 
 namespace jsonski::ski {
@@ -126,8 +123,8 @@ using NodeSet = std::vector<int>;
  * MatchSink adapter for a divergent-suffix replay: forwards each match
  * to the multi sink under the suffix's distinct query id, and records
  * whether the outer sink asked the *whole pass* to stop (the nested
- * Streamer::runResident catches StopStreaming itself, so the driver
- * must re-throw it to abort the shared walk).
+ * Streamer pass catches StopStreaming itself, so the driver must
+ * re-throw it to abort the shared walk).
  */
 class SuffixSink final : public path::MatchSink
 {
@@ -157,42 +154,17 @@ class SuffixSink final : public path::MatchSink
 } // namespace
 
 /** One multi-query pass over a single record. */
-class MultiDriver
+class MultiDriver : public PassShell
 {
   public:
-    MultiDriver(const MultiStreamer& ms,
-                const std::vector<MultiStreamer::Node>& trie,
-                std::string_view json, MultiSink* sink,
-                MultiStreamer::Result& result)
-        : ms_(ms),
-          trie_(trie),
-          cur_(json),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result),
-          emit_bits_(ms.queryCount())
-    {}
-
-    MultiDriver(const MultiStreamer& ms,
-                const std::vector<MultiStreamer::Node>& trie,
-                intervals::ChunkSource& source, size_t chunk_bytes,
+    MultiDriver(const MultiStreamer& ms, const PassInput& in,
                 MultiSink* sink, MultiStreamer::Result& result)
-        : ms_(ms),
-          trie_(trie),
-          cur_(source, chunk_bytes),
-          skip_(cur_, &result.stats),
+        : PassShell(in, &result.stats),
+          ms_(ms),
           sink_(sink),
           result_(result),
           emit_bits_(ms.queryCount())
     {}
-
-    /** Record ingestion totals once the pass is over. */
-    void
-    finish()
-    {
-        result_.input_bytes = cur_.size();
-        result_.ingest = cur_.ingestStats();
-    }
 
     void
     run()
@@ -205,14 +177,13 @@ class MultiDriver
     }
 
   private:
-    const MultiStreamer::Node& node(int i) const { return trie_[i]; }
+    const MultiStreamer::Node& node(int i) const { return ms_.trie_[i]; }
 
     void
     emitTo(const NodeSet& active, size_t begin, size_t end)
     {
         telemetry::PhaseScope phase(telemetry::Phase::Emit);
-        while (end > begin && json::isWhitespace(cur_.at(end - 1)))
-            --end;
+        end = trimmedEnd(cur_, begin, end);
         // Collect acceptors into a bitset first: one frame per
         // distinct query per value, by construction, in ascending-id
         // order regardless of active-set order.
@@ -239,21 +210,16 @@ class MultiDriver
     void
     replaySuffixes(const NodeSet& active, size_t begin, size_t end)
     {
-        while (end > begin && json::isWhitespace(cur_.at(end - 1)))
-            --end;
-        std::string_view span = cur_.slice(begin, end);
+        end = trimmedEnd(cur_, begin, end);
         for (int n : active) {
             for (size_t si : node(n).suffixes) {
                 const MultiStreamer::Suffix& suf = ms_.suffixes_[si];
                 SuffixSink fwd(sink_, suf.qi);
                 StreamResult r;
-                try {
-                    r = suf.streamer.runResident(span, &fwd);
-                } catch (const ParseError& e) {
-                    throw ParseError(e.code(),
-                                     "in multi-query suffix",
-                                     begin + e.position());
-                }
+                replayHeld(cur_, begin, end, "in multi-query suffix",
+                           [&](std::string_view span) {
+                               r = suf.streamer.runResident(span, &fwd);
+                           });
                 result_.matches[suf.qi] += r.matches;
                 result_.stats.merge(r.stats);
                 result_.per_query[suf.qi].merge(r.stats);
@@ -292,14 +258,12 @@ class MultiDriver
         if (c == '\0')
             throw ParseError(ErrorCode::BadValue, "missing value", cur_.pos());
         size_t start = cur_.pos();
-        size_t saved = intervals::StreamCursor::kNoHold;
-        if (accepts || suffix) {
-            // The value is reported whole (or replayed against the
-            // divergent suffixes) once consumed: keep its span
-            // resident across any chunk seams it straddles.
-            saved = cur_.hold();
-            cur_.setHold(std::min(saved, start));
-        }
+        // The value is reported whole (or replayed against the
+        // divergent suffixes) once consumed: keep its span resident
+        // across any chunk seams it straddles.
+        HoldScope hold(cur_, accepts || suffix
+                                 ? start
+                                 : intervals::StreamCursor::kNoHold);
         if (c == '{' && want_obj) {
             cur_.advance(1);
             runObject(active);
@@ -317,8 +281,6 @@ class MultiDriver
             emitTo(active, start, cur_.pos());
         if (suffix)
             replaySuffixes(active, start, cur_.pos());
-        if (accepts || suffix)
-            cur_.setHold(saved);
     }
 
     /** Count of distinct attribute names the active set can match. */
@@ -466,10 +428,7 @@ class MultiDriver
     }
 
     const MultiStreamer& ms_;
-    const std::vector<MultiStreamer::Node>& trie_;
     std::vector<std::string_view> scratch_keys_;
-    intervals::StreamCursor cur_;
-    Skipper skip_;
     MultiSink* sink_;
     MultiStreamer::Result& result_;
     path::QueryBits emit_bits_;
@@ -478,36 +437,29 @@ class MultiDriver
 MultiStreamer::Result
 MultiStreamer::run(std::string_view json, MultiSink* sink) const
 {
-    if (size_t chunk = testChunkBytesOverride()) {
-        intervals::ViewSource source(json);
-        return run(source, sink, chunk);
-    }
-    Result result;
-    result.matches.assign(set_.size(), 0);
-    result.per_query.assign(set_.size(), FastForwardStats{});
-    MultiDriver driver(*this, trie_, json, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-        // Early termination requested by the sink; partial result.
-    }
-    driver.finish();
-    return result;
+    return pass({.bytes = json, .reroutable = true}, sink);
 }
 
 MultiStreamer::Result
 MultiStreamer::run(intervals::ChunkSource& source, MultiSink* sink,
                    size_t chunk_bytes) const
 {
+    return pass({.source = &source, .chunk_bytes = chunk_bytes}, sink);
+}
+
+MultiStreamer::Result
+MultiStreamer::pass(const PassInput& in, MultiSink* sink) const
+{
     Result result;
     result.matches.assign(set_.size(), 0);
     result.per_query.assign(set_.size(), FastForwardStats{});
-    MultiDriver driver(*this, trie_, source, chunk_bytes, sink, result);
+    MultiDriver driver(*this, in, sink, result);
     try {
         driver.run();
     } catch (const StopStreaming&) {
+        // Early termination requested by the sink; partial result.
     }
-    driver.finish();
+    driver.finish(result);
     return result;
 }
 

@@ -108,23 +108,22 @@ class MultiStreamer
 
         /** Chunked-ingestion accounting; zeros for whole-buffer runs. */
         intervals::StreamCursor::IngestStats ingest;
+
+        /** Kernel whose scan loops ran the pass (kernels::Kernel::name). */
+        const char* kernel = nullptr;
     };
 
     /** Default refill granularity for chunked runs (64 KiB). */
     static constexpr size_t kDefaultChunkBytes = size_t{1} << 16;
 
-    /**
-     * Evaluate all queries over one record in a single pass.
-     * JSONSKI_TEST_CHUNK_BYTES=N reroutes through the chunked path
-     * with N-byte chunks (see Streamer::run).
-     */
+    /** Evaluate all queries over one record in a single pass. */
     Result run(std::string_view json, MultiSink* sink = nullptr) const;
 
     /**
-     * Single-pass evaluation over a record delivered by a ChunkSource;
-     * resident memory is bounded by @p chunk_bytes plus the largest
-     * span still held — for a query whose suffix diverges at depth d,
-     * the entire value at its divergence point (DESIGN.md §15).
+     * run() over a record delivered by a ChunkSource; resident memory
+     * is bounded by @p chunk_bytes plus the largest span still held —
+     * for a query whose suffix diverges at depth d, the entire value
+     * at its divergence point (DESIGN.md §15).
      */
     Result run(intervals::ChunkSource& source, MultiSink* sink = nullptr,
                size_t chunk_bytes = kDefaultChunkBytes) const;
@@ -186,6 +185,7 @@ class MultiStreamer
     };
 
     void build();
+    Result pass(const PassInput& in, MultiSink* sink) const;
 
     path::QuerySet set_;
     std::vector<Node> trie_;

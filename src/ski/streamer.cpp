@@ -1,94 +1,37 @@
 #include "ski/streamer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <memory>
 #include <utility>
 
 #include "index/structural_index.h"
 #include "intervals/cursor.h"
-#include "json/text.h"
 #include "path/filter.h"
 #include "path/parser.h"
-#include "ski/chunk_override.h"
+#include "ski/pass.h"
 #include "ski/sinks.h"
 #include "util/error.h"
 
 namespace jsonski::ski {
 namespace {
 
-using intervals::StreamCursor;
 using path::PathQuery;
 using path::PathStep;
 
-/**
- * Container-depth bookkeeping for the linear driver: one unclosed
- * opener consumed per scope.  The skipper derives the structural-index
- * bitmap level from the bound counter, so the count must be exact at
- * every skipper call — RAII keeps it so across every return path.
- */
-class DepthScope
-{
-  public:
-    explicit DepthScope(int& depth) : depth_(depth) { ++depth_; }
-    ~DepthScope() { --depth_; }
-    DepthScope(const DepthScope&) = delete;
-    DepthScope& operator=(const DepthScope&) = delete;
-
-  private:
-    int& depth_;
-};
-
 /** One streaming pass over a single record. */
-class Driver
+class Driver : public PassShell
 {
   public:
     Driver(const PathQuery& query, const StreamerOptions& options,
-           std::string_view json, MatchSink* sink, StreamResult& result)
-        : q_(query),
+           const PassInput& in, MatchSink* sink, StreamResult& result)
+        : PassShell(in, &result.stats, options.batch_primitives),
+          q_(query),
           options_(options),
-          cur_(json),
-          skip_(cur_, &result.stats),
           sink_(sink),
-          result_(result)
-    {
-        skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    Driver(const PathQuery& query, const StreamerOptions& options,
-           intervals::ChunkSource& source, size_t chunk_bytes,
-           MatchSink* sink, StreamResult& result)
-        : q_(query),
-          options_(options),
-          cur_(source, chunk_bytes),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result)
-    {
-        skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    /** Record ingestion totals once the pass is over. */
-    void
-    finish()
-    {
-        result_.input_bytes = cur_.size();
-        result_.ingest = cur_.ingestStats();
-        result_.kernel = cur_.scans().kernel;
-    }
-
-    /**
-     * Bind a structural semi-index (built from exactly this input) to
-     * the pass's skipper.  Only the top-level driver is ever bound:
-     * nested continuation drivers run over slices whose positions are
-     * slice-relative, which the document-absolute index cannot serve.
-     */
-    void
-    bindIndex(const index::StructuralIndex* idx)
-    {
-        skip_.bindIndex(idx, &depth_);
-    }
+          result_(result),
+          emit_(cur_, sink, &result.matches)
+    {}
 
     void
     run()
@@ -120,7 +63,7 @@ class Driver
             cur_.advance(1);
             runObject(0);
         }
-        flushDescendantMatches();
+        emit_.drain();
     }
 
   private:
@@ -132,17 +75,9 @@ class Driver
         size_t start = cur_.pos();
         // The whole value span must stay resident until it is handed
         // to the sink, however many chunk seams it crosses.
-        size_t saved = cur_.hold();
-        cur_.setHold(std::min(saved, start));
+        HoldScope hold(cur_, start);
         skip_.overValue(Group::G3);
-        size_t end = cur_.pos();
-        // Trim trailing whitespace a primitive skip may have crossed.
-        while (end > start && json::isWhitespace(cur_.at(end - 1)))
-            --end;
-        ++result_.matches;
-        if (sink_)
-            sink_->onMatch(cur_.slice(start, end));
-        cur_.setHold(saved);
+        emit_.deliver(cur_.slice(start, trimmedEnd(cur_, start, cur_.pos())));
     }
 
     /**
@@ -153,7 +88,7 @@ class Driver
     void
     runObject(size_t state)
     {
-        DepthScope depth(depth_);
+        DepthScope depth(*this);
         skip_.setTraceState(static_cast<uint16_t>(state));
         const PathStep& st = q_[state];
         bool accept_child = (state + 1 == q_.size());
@@ -221,7 +156,7 @@ class Driver
             runFilterArray(state);
             return;
         }
-        DepthScope depth(depth_);
+        DepthScope depth(*this);
         skip_.setTraceState(static_cast<uint16_t>(state));
         const PathStep& st = q_[state];
         bool accept_child = (state + 1 == q_.size());
@@ -321,10 +256,8 @@ class Driver
     void
     runFilterArray(size_t state)
     {
-        DepthScope depth(depth_);
+        DepthScope depth(*this);
         skip_.setTraceState(static_cast<uint16_t>(state));
-        const PathStep& st = q_[state];
-        bool accept_child = (state + 1 == q_.size());
         size_t idx = 0;
         char c = cur_.skipWhitespace();
         if (c == ']') {
@@ -337,25 +270,7 @@ class Driver
                                   std::numeric_limits<size_t>::max(),
                                   Group::G1) == Skipper::ElemStop::End)
                 return;
-            size_t start = cur_.pos();
-            // The candidate must stay resident through the verdict and
-            // any suffix replay, whatever chunk seams it crosses.
-            size_t saved = cur_.hold();
-            cur_.setHold(std::min(saved, start));
-            cur_.advance(1);
-            if (filterVerdict(st)) {
-                size_t end = cur_.pos();
-                if (accept_child) {
-                    telemetry::PhaseScope phase(telemetry::Phase::Emit);
-                    ++result_.matches;
-                    if (sink_)
-                        sink_->onMatch(cur_.slice(start, end));
-                } else {
-                    runContinuation(state + 1, start, end);
-                    skip_.setTraceState(static_cast<uint16_t>(state));
-                }
-            }
-            cur_.setHold(saved);
+            keepCandidate(state);
             c = cur_.skipWhitespace();
             if (c == ',') {
                 cur_.advance(1);
@@ -368,6 +283,32 @@ class Driver
             }
             throw ParseError(ErrorCode::ExpectedPunctuation,
                              "expected ',' or ']'", cur_.pos());
+        }
+    }
+
+    /**
+     * One object element of a filter array at step @p state: decide
+     * its verdict and, when kept, emit it or replay the suffix query
+     * over it.  Entry: position at the element's '{'.  Exit: just past
+     * its '}'.
+     */
+    void
+    keepCandidate(size_t state)
+    {
+        size_t start = cur_.pos();
+        // The candidate must stay resident through the verdict and any
+        // suffix replay, whatever chunk seams it crosses.
+        HoldScope hold(cur_, start);
+        cur_.advance(1);
+        if (!filterVerdict(q_[state]))
+            return;
+        size_t end = cur_.pos();
+        if (state + 1 == q_.size()) {
+            telemetry::PhaseScope phase(telemetry::Phase::Emit);
+            emit_.deliver(cur_.slice(start, end));
+        } else {
+            runContinuation(state + 1, start, end);
+            skip_.setTraceState(static_cast<uint16_t>(state));
         }
     }
 
@@ -385,7 +326,7 @@ class Driver
     filterVerdict(const PathStep& st)
     {
         // The caller has consumed the candidate's '{'.
-        DepthScope depth(depth_);
+        DepthScope depth(*this);
         for (;;) {
             Skipper::AttrResult attr =
                 skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
@@ -406,9 +347,7 @@ class Driver
                 skip_.overValue(Group::G2);
             } else {
                 skip_.overPrimitive(Group::G1);
-                size_t ve = cur_.pos();
-                while (ve > vs && json::isWhitespace(cur_.at(ve - 1)))
-                    --ve;
+                size_t ve = trimmedEnd(cur_, vs, cur_.pos());
                 verdict =
                     path::evalPredicate(st, true, cur_.slice(vs, ve));
             }
@@ -437,26 +376,20 @@ class Driver
                               q_.steps.end());
             cont_[state] = std::move(sub);
         }
-        Driver sub(*cont_[state], options_, cur_.slice(start, end),
-                   sink_, result_);
-        try {
-            sub.run();
-        } catch (const ParseError& e) {
-            // Translate slice-relative positions back to the record.
-            throw ParseError(e.code(), "in filter candidate",
-                             start + e.position());
-        }
+        replayHeld(cur_, start, end, "in filter candidate",
+                   [&](std::string_view span) {
+                       Driver(*cont_[state], options_,
+                              {.bytes = span}, sink_, result_)
+                           .run();
+                   });
     }
 
     /**
      * Descendant traversal (terminal `..name` step, an extension over
      * the paper): every attribute at any depth whose name matches is
-     * a result.  Matches may nest, so container spans are recorded as
-     * placeholder slots (end = kInFlight) patched once their end is
-     * known; slot order is document pre-order.  Completed slots are
-     * flushed to the sink as soon as no earlier slot is still open
-     * (maybeFlushDesc), so chunked-mode retention is bounded by the
-     * deepest *nested-match* chain, not by the document.  Only
+     * a result.  Matches may nest, so they go through the pre-order
+     * slots of the SlotEmitter, which bounds chunked-mode retention by
+     * the deepest *nested-match* chain, not by the document.  Only
      * primitive runs can still be fast-forwarded — the type-inference
      * limitation the paper predicts for `..`.
      *
@@ -465,55 +398,31 @@ class Driver
     void
     runDescObject()
     {
-        DepthScope depth(depth_);
+        DepthScope depth(*this);
         // Descendant traversal belongs to the terminal `..name` step.
         skip_.setTraceState(static_cast<uint16_t>(q_.size() - 1));
-        if (++desc_depth_ > kMaxDescDepth)
-            throw ParseError(ErrorCode::DepthExceeded,
-                             "nesting too deep for descendant traversal",
-                             cur_.pos());
         const std::string& k = q_.steps.back().key;
         for (;;) {
             Skipper::AttrResult attr =
                 skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
-            if (!attr.found) {
-                --desc_depth_;
+            if (!attr.found)
                 return;
-            }
             bool matched =
                 cur_.slice(attr.key_begin, attr.key_end) == k;
             char c = cur_.current();
+            size_t start = cur_.pos();
+            size_t slot = matched ? emit_.open(start) : 0;
             if (c == '{' || c == '[') {
-                size_t slot = SIZE_MAX;
-                if (matched) {
-                    slot = desc_pending_.size();
-                    desc_pending_.emplace_back(cur_.pos(), kInFlight);
-                    maybeFlushDesc(); // pins the span before any refill
-                }
                 cur_.advance(1);
                 if (c == '{')
                     runDescObject();
                 else
                     runDescArray();
-                if (matched) {
-                    desc_pending_[slot].second = cur_.pos();
-                    maybeFlushDesc();
-                }
-            } else if (matched) {
-                size_t start = cur_.pos();
-                size_t saved = cur_.hold();
-                cur_.setHold(std::min(saved, start));
-                skip_.overPrimitive(Group::G3);
-                size_t end = cur_.pos();
-                while (end > start &&
-                       json::isWhitespace(cur_.at(end - 1)))
-                    --end;
-                cur_.setHold(saved);
-                desc_pending_.emplace_back(start, end);
-                maybeFlushDesc();
             } else {
-                skip_.overPrimitive(Group::G2);
+                skip_.overPrimitive(matched ? Group::G3 : Group::G2);
             }
+            if (matched)
+                emit_.close(slot, trimmedEnd(cur_, start, cur_.pos()));
         }
     }
 
@@ -521,18 +430,11 @@ class Driver
     void
     runDescArray()
     {
-        DepthScope depth(depth_);
-        if (++desc_depth_ > kMaxDescDepth)
-            throw ParseError(ErrorCode::DepthExceeded,
-                             "nesting too deep for descendant traversal",
-                             cur_.pos());
+        DepthScope depth(*this);
         for (;;) {
             // Primitive elements cannot match a name: batch-skip them.
-            if (skip_.toContainerElem(Group::G1) ==
-                Skipper::ElemStop::End) {
-                --desc_depth_;
+            if (skip_.toContainerElem(Group::G1) == Skipper::ElemStop::End)
                 return;
-            }
             char c = cur_.current();
             cur_.advance(1);
             if (c == '{')
@@ -546,7 +448,6 @@ class Driver
             }
             if (c == ']') {
                 cur_.advance(1);
-                --desc_depth_;
                 return;
             }
             throw ParseError(ErrorCode::ExpectedPunctuation,
@@ -554,72 +455,26 @@ class Driver
         }
     }
 
-    /**
-     * Deliver every completed slot not blocked by an earlier in-flight
-     * one (pre-order is preserved because slots are recorded in
-     * pre-order), then retarget the consumer hold at the earliest slot
-     * still unflushed — or drop it when none remain.
-     */
-    void
-    maybeFlushDesc()
-    {
-        while (desc_flushed_ < desc_pending_.size() &&
-               desc_pending_[desc_flushed_].second != kInFlight) {
-            auto [start, end] = desc_pending_[desc_flushed_];
-            ++result_.matches;
-            if (sink_)
-                sink_->onMatch(cur_.slice(start, end));
-            ++desc_flushed_;
-        }
-        if (desc_flushed_ == desc_pending_.size()) {
-            // Fully drained: indices held on the stack are only live
-            // while their slot is in-flight, so resetting is safe.
-            desc_pending_.clear();
-            desc_flushed_ = 0;
-            cur_.setHold(StreamCursor::kNoHold);
-        } else {
-            cur_.setHold(desc_pending_[desc_flushed_].first);
-        }
-    }
-
-    /** End-of-pass safety net; incremental flushing empties the list. */
-    void
-    flushDescendantMatches()
-    {
-        maybeFlushDesc();
-        assert(desc_pending_.empty() && "descendant slot left in flight");
-    }
-
-    static constexpr int kMaxDescDepth = 20000;
-    static constexpr size_t kInFlight = SIZE_MAX;
-
     const PathQuery& q_;
     const StreamerOptions& options_;
-    StreamCursor cur_;
-    Skipper skip_;
     MatchSink* sink_;
     StreamResult& result_;
-    std::vector<std::pair<size_t, size_t>> desc_pending_;
-    size_t desc_flushed_ = 0; ///< slots already delivered to the sink
-    int desc_depth_ = 0;
-    /** Containers entered and not yet closed (index level source). */
-    int depth_ = 0;
+    SlotEmitter emit_; ///< terminal-descendant matches, pre-order
     /** Cached suffix queries for filter continuations, by start step. */
     std::vector<std::unique_ptr<PathQuery>> cont_;
 };
 
 /**
  * Sink that turns a nested driver's slice-relative matches back into
- * absolute pending slots of the enclosing NfaDriver.  The slots are
+ * absolute slots of the enclosing NfaDriver's emitter.  The slots are
  * already complete (both ends known), so appending preserves the
  * outer pre-order.
  */
 class TranslatingSink : public MatchSink
 {
   public:
-    TranslatingSink(std::vector<std::pair<size_t, size_t>>& pending,
-                    const char* base, size_t offset)
-        : pending_(pending), base_(base), offset_(offset)
+    TranslatingSink(SlotEmitter& outer, const char* base, size_t offset)
+        : outer_(outer), base_(base), offset_(offset)
     {}
 
     void
@@ -627,11 +482,11 @@ class TranslatingSink : public MatchSink
     {
         size_t start =
             offset_ + static_cast<size_t>(value.data() - base_);
-        pending_.emplace_back(start, start + value.size());
+        outer_.add(start, start + value.size());
     }
 
   private:
-    std::vector<std::pair<size_t, size_t>>& pending_;
+    SlotEmitter& outer_;
     const char* base_;
     size_t offset_;
 };
@@ -650,54 +505,17 @@ class TranslatingSink : public MatchSink
  * apply everywhere, and filter candidates keep the G3-or-G2 verdict
  * protocol of the linear driver.
  */
-class NfaDriver
+class NfaDriver : public PassShell
 {
   public:
     NfaDriver(const PathQuery& query, const StreamerOptions& options,
-              std::string_view json, MatchSink* sink,
-              StreamResult& result)
-        : q_(query),
+              const PassInput& in, MatchSink* sink, StreamResult& result)
+        : PassShell(in, &result.stats, options.batch_primitives),
+          q_(query),
           options_(options),
-          cur_(json),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result)
-    {
-        skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    NfaDriver(const PathQuery& query, const StreamerOptions& options,
-              intervals::ChunkSource& source, size_t chunk_bytes,
-              MatchSink* sink, StreamResult& result)
-        : q_(query),
-          options_(options),
-          cur_(source, chunk_bytes),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result)
-    {
-        skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    /** Record ingestion totals once the pass is over. */
-    void
-    finish()
-    {
-        result_.input_bytes = cur_.size();
-        result_.ingest = cur_.ingestStats();
-        result_.kernel = cur_.scans().kernel;
-    }
-
-    /**
-     * Bind a structural semi-index built from exactly this input.
-     * Top-level drivers only — interior replays (runInterior) run over
-     * slices with slice-relative positions the index cannot serve.
-     */
-    void
-    bindIndex(const index::StructuralIndex* idx)
-    {
-        skip_.bindIndex(idx, &depth_);
-    }
+          result_(result),
+          emit_(cur_, sink, &result.matches)
+    {}
 
     void
     run()
@@ -708,8 +526,7 @@ class NfaDriver
         path::NfaSet start;
         start.add(0, 1);
         value(start);
-        maybeFlush();
-        assert(pending_.empty() && "nfa slot left in flight");
+        emit_.drain();
     }
 
   private:
@@ -723,9 +540,9 @@ class NfaDriver
     runFrom(const path::NfaSet& initial, int depth_base)
     {
         depth_ = depth_base;
-        count_matches_ = false;
+        emit_.countInto(nullptr);
         value(initial);
-        maybeFlush();
+        emit_.drain();
     }
 
     /**
@@ -742,12 +559,7 @@ class NfaDriver
                              "unexpected end of input", cur_.pos());
         uint64_t acc = a.acceptCount(q_);
         size_t start = cur_.pos();
-        size_t slot_base = pending_.size();
-        if (acc > 0) {
-            for (uint64_t i = 0; i < acc; ++i)
-                pending_.emplace_back(start, kInFlight);
-            maybeFlush(); // pins the span before any refill
-        }
+        size_t first = acc > 0 ? emit_.open(start, acc) : 0;
         if (c == '{' && path::nfaWantsObject(q_, a)) {
             cur_.advance(1);
             object(a);
@@ -759,24 +571,15 @@ class NfaDriver
             // itself accepted, G2 otherwise.
             skip_.overValue(acc > 0 ? Group::G3 : Group::G2);
         }
-        if (acc > 0) {
-            size_t end = cur_.pos();
-            while (end > start && json::isWhitespace(cur_.at(end - 1)))
-                --end;
-            for (uint64_t i = 0; i < acc; ++i)
-                pending_[slot_base + i].second = end;
-            maybeFlush();
-        }
+        if (acc > 0)
+            emit_.close(first, trimmedEnd(cur_, start, cur_.pos()), acc);
     }
 
     /** Entry: position just past '{'.  Exit: just past the '}'. */
     void
     object(const path::NfaSet& a)
     {
-        if (++depth_ > kMaxDepth)
-            throw ParseError(ErrorCode::DepthExceeded,
-                             "nesting too deep for descendant traversal",
-                             cur_.pos());
+        DepthScope depth(*this);
         bool has_desc = path::nfaHasDescendant(q_, a);
         // Key states bind to the first member with their name only
         // (duplicate-key contract, mirrors the linear driver's G4).
@@ -784,10 +587,8 @@ class NfaDriver
         for (;;) {
             Skipper::AttrResult attr =
                 skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
-            if (!attr.found) {
-                --depth_;
+            if (!attr.found)
                 return;
-            }
             path::NfaSet b = path::nfaOnKey(
                 q_, a, cur_.slice(attr.key_begin, attr.key_end),
                 &consumed);
@@ -811,7 +612,6 @@ class NfaDriver
                 }
                 if (!live) {
                     skip_.toObjEnd(Group::G4);
-                    --depth_;
                     return;
                 }
             }
@@ -822,10 +622,7 @@ class NfaDriver
     void
     array(const path::NfaSet& a)
     {
-        if (++depth_ > kMaxDepth)
-            throw ParseError(ErrorCode::DepthExceeded,
-                             "nesting too deep for descendant traversal",
-                             cur_.pos());
+        DepthScope depth(*this);
         bool has_desc = path::nfaHasDescendant(q_, a);
         bool has_filter = false;
         size_t lo_min = std::numeric_limits<size_t>::max();
@@ -850,26 +647,21 @@ class NfaDriver
         char c = cur_.skipWhitespace();
         if (c == ']') {
             cur_.advance(1);
-            --depth_;
             return;
         }
         if (bounded && lo_min > 0 &&
             skip_.overElems(lo_min, idx, Group::G5) ==
-                Skipper::ElemStop::End) {
-            --depth_;
+                Skipper::ElemStop::End)
             return;
-        }
         std::vector<std::pair<size_t, uint64_t>> fs;
         for (;;) {
             if (bounded && idx >= hi_max) {
                 skip_.toAryEnd(Group::G5);
-                --depth_;
                 return;
             }
             c = cur_.skipWhitespace();
             if (c == ']') {
                 cur_.advance(1);
-                --depth_;
                 return;
             }
             fs.clear();
@@ -891,7 +683,6 @@ class NfaDriver
             }
             if (c == ']') {
                 cur_.advance(1);
-                --depth_;
                 return;
             }
             throw ParseError(ErrorCode::ExpectedPunctuation,
@@ -915,14 +706,31 @@ class NfaDriver
                        std::vector<std::pair<size_t, uint64_t>>& fs)
     {
         size_t start = cur_.pos();
-        size_t saved_pin = pin_;
-        pin_ = std::min(pin_, start);
-        maybeFlush(); // re-anchor the hold at the candidate
+        size_t saved_pin = emit_.pin(start); // hold from the candidate on
         cur_.advance(1);
+        filterVerdicts(b, fs);
+        size_t end = cur_.pos();
+        uint64_t acc = b.acceptCount(q_);
+        if (acc > 0)
+            emit_.add(start, end, acc); // pre-order: value first
+        path::NfaSet rest = b.withoutAccept(q_);
+        if (!rest.empty())
+            runInterior(rest, start, end);
+        emit_.unpin(saved_pin);
+    }
+
+    /**
+     * Probe the candidate for every filter state's predicate field and
+     * add each passing state's advance to @p b.  Entry: position just
+     * past the candidate's '{'.  Exit: just past its '}'.
+     */
+    void
+    filterVerdicts(path::NfaSet& b,
+                   const std::vector<std::pair<size_t, uint64_t>>& fs)
+    {
         // The probe scan runs inside the candidate object; the depth
         // counter must say so for the skipper's index level to match.
-        ++depth_;
-
+        DepthScope depth(*this);
         struct Probe
         {
             const std::string* field;
@@ -973,11 +781,7 @@ class NfaDriver
                 skip_.overValue(Group::G2);
             } else {
                 skip_.overPrimitive(Group::G1);
-                size_t ve = cur_.pos();
-                while (ve > hit->vs &&
-                       json::isWhitespace(cur_.at(ve - 1)))
-                    --ve;
-                hit->ve = ve;
+                hit->ve = trimmedEnd(cur_, hit->vs, cur_.pos());
             }
             if (--remaining == 0)
                 break;
@@ -1001,18 +805,6 @@ class NfaDriver
         }
         if (!consumed_whole)
             skip_.toObjEnd(b.empty() ? Group::G2 : Group::G3);
-        --depth_;
-        size_t end = cur_.pos();
-        uint64_t acc = b.acceptCount(q_);
-        for (uint64_t i = 0; i < acc; ++i)
-            pending_.emplace_back(start, end); // pre-order: value first
-        if (acc > 0)
-            maybeFlush();
-        path::NfaSet rest = b.withoutAccept(q_);
-        if (!rest.empty())
-            runInterior(rest, start, end);
-        pin_ = saved_pin;
-        maybeFlush();
     }
 
     /**
@@ -1027,58 +819,19 @@ class NfaDriver
     void
     runInterior(const path::NfaSet& set, size_t start, size_t end)
     {
-        std::string_view span = cur_.slice(start, end);
-        TranslatingSink tsink(pending_, span.data(), start);
-        NfaDriver sub(q_, options_, span, &tsink, result_);
-        try {
-            sub.runFrom(set, depth_);
-        } catch (const ParseError& e) {
-            throw ParseError(e.code(), "in filter candidate",
-                             start + e.position());
-        }
+        replayHeld(cur_, start, end, "in filter candidate",
+                   [&](std::string_view span) {
+                       TranslatingSink tsink(emit_, span.data(), start);
+                       NfaDriver(q_, options_, {.bytes = span},
+                                 &tsink, result_)
+                           .runFrom(set, depth_);
+                   });
     }
-
-    /**
-     * Deliver every completed slot not blocked by an earlier in-flight
-     * one, then retarget the consumer hold at the earliest unflushed
-     * slot or the active candidate pin, whichever is lower.
-     */
-    void
-    maybeFlush()
-    {
-        while (flushed_ < pending_.size() &&
-               pending_[flushed_].second != kInFlight) {
-            auto [start, end] = pending_[flushed_];
-            if (count_matches_)
-                ++result_.matches;
-            if (sink_)
-                sink_->onMatch(cur_.slice(start, end));
-            ++flushed_;
-        }
-        size_t hold = pin_;
-        if (flushed_ == pending_.size()) {
-            pending_.clear();
-            flushed_ = 0;
-        } else {
-            hold = std::min(hold, pending_[flushed_].first);
-        }
-        cur_.setHold(hold);
-    }
-
-    static constexpr int kMaxDepth = 20000;
-    static constexpr size_t kInFlight = SIZE_MAX;
 
     const PathQuery& q_;
     const StreamerOptions& options_;
-    StreamCursor cur_;
-    Skipper skip_;
-    MatchSink* sink_;
     StreamResult& result_;
-    std::vector<std::pair<size_t, size_t>> pending_;
-    size_t flushed_ = 0;   ///< slots already delivered to the sink
-    size_t pin_ = StreamCursor::kNoHold; ///< active candidate hold
-    bool count_matches_ = true; ///< false in nested candidate replays
-    int depth_ = 0;
+    SlotEmitter emit_; ///< every match, pre-order
 };
 
 } // namespace
@@ -1086,141 +839,28 @@ class NfaDriver
 StreamResult
 Streamer::run(std::string_view json, MatchSink* sink) const
 {
-    if (size_t chunk = testChunkBytesOverride()) {
-        intervals::ViewSource source(json);
-        return run(source, sink, chunk);
-    }
-    return runResident(json, sink);
+    return pass({.bytes = json, .reroutable = true}, sink);
 }
 
 StreamResult
 Streamer::runResident(std::string_view json, MatchSink* sink) const
 {
-    StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        // Nondeterministic surface: the multiset driver (DESIGN.md
-        // §13).  Everything else keeps the linear driver's exact
-        // traversal, byte charges, and emissions.
-        NfaDriver driver(query_, options_, json, sink, result);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, json, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-        // A sink requested early termination; the partial result
-        // (matches delivered so far) is valid.
-    }
-    driver.finish();
-    return result;
+    return pass({.bytes = json}, sink);
 }
 
 StreamResult
 Streamer::run(intervals::ChunkSource& source, MatchSink* sink,
               size_t chunk_bytes) const
 {
-    StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        NfaDriver driver(query_, options_, source, chunk_bytes, sink,
-                         result);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, source, chunk_bytes, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-    }
-    driver.finish();
-    return result;
+    return pass({.source = &source, .chunk_bytes = chunk_bytes}, sink);
 }
-
-namespace {
-
-/**
- * Forwards matches to the caller's sink while counting what got
- * through, so the indexed run can tell whether a defensive
- * IndexMismatch arrived before anything reached the caller — replaying
- * from scratch is only sound when nothing did.
- */
-class ForwardingCountSink : public MatchSink
-{
-  public:
-    explicit ForwardingCountSink(MatchSink* inner) : inner_(inner) {}
-
-    void
-    onMatch(std::string_view value) override
-    {
-        ++forwarded_;
-        inner_->onMatch(value);
-    }
-
-    size_t forwarded() const { return forwarded_; }
-
-  private:
-    MatchSink* inner_;
-    size_t forwarded_ = 0;
-};
-
-} // namespace
 
 StreamResult
 Streamer::runIndexed(std::string_view json,
                      const index::StructuralIndex& idx,
                      MatchSink* sink) const
 {
-    if (size_t chunk = testChunkBytesOverride()) {
-        intervals::ViewSource source(json);
-        return runIndexed(source, idx, sink, chunk);
-    }
-    if (!idx.usable() || idx.levels() == 0)
-        return runResident(json, sink); // unclean document: stream
-    ForwardingCountSink counted(sink);
-    MatchSink* inner = sink ? static_cast<MatchSink*>(&counted) : nullptr;
-    try {
-        StreamResult result;
-        if (query_.hasInteriorDescendant()) {
-            NfaDriver driver(query_, options_, json, inner, result);
-            driver.bindIndex(&idx);
-            try {
-                driver.run();
-            } catch (const StopStreaming&) {
-            }
-            driver.finish();
-            return result;
-        }
-        Driver driver(query_, options_, json, inner, result);
-        driver.bindIndex(&idx);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    } catch (const ParseError& e) {
-        // A self-built index only contradicts the driver on
-        // grammatically invalid (though structurally clean) documents,
-        // where the driver's lenient skip rules desynchronize its
-        // depth from the classifier's — e.g. a backslash spliced in
-        // front of a string's closing quote.  The bytes are resident
-        // and nothing reached the sink yet, so replay plain: warm
-        // output stays identical to streaming even on junk.  After an
-        // emission the replay would duplicate matches, so the typed
-        // mismatch propagates (fail closed, never wrong output).
-        if (e.code() != ErrorCode::IndexMismatch ||
-            counted.forwarded() != 0)
-            throw;
-        return runResident(json, sink);
-    }
+    return pass({.bytes = json, .index = &idx, .reroutable = true}, sink);
 }
 
 StreamResult
@@ -1228,32 +868,53 @@ Streamer::runIndexed(intervals::ChunkSource& source,
                      const index::StructuralIndex& idx, MatchSink* sink,
                      size_t chunk_bytes) const
 {
-    // Unlike the resident overload, a defensive IndexMismatch cannot
-    // fall back to a plain replay here: the source is forward-only and
-    // the warm skips have already consumed it.  It propagates typed
-    // (fail closed) — reachable only for grammatically invalid
-    // documents or a caller-contract-violating foreign index.
-    if (!idx.usable() || idx.levels() == 0)
-        return run(source, sink, chunk_bytes);
+    return pass(
+        {.source = &source, .chunk_bytes = chunk_bytes, .index = &idx},
+        sink);
+}
+
+StreamResult
+Streamer::pass(PassInput in, MatchSink* sink) const
+{
+    if (in.index && (!in.index->usable() || in.index->levels() == 0))
+        in.index = nullptr; // unclean document: stream
     StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        NfaDriver driver(query_, options_, source, chunk_bytes, sink,
-                         result);
-        driver.bindIndex(&idx);
+    auto drive = [&](auto&& driver) {
         try {
             driver.run();
         } catch (const StopStreaming&) {
+            // A sink requested early termination; the partial result
+            // (matches delivered so far) is valid.
         }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, source, chunk_bytes, sink, result);
-    driver.bindIndex(&idx);
+        driver.finish(result);
+    };
     try {
-        driver.run();
-    } catch (const StopStreaming&) {
+        // Interior descendants need the multiset driver (DESIGN.md
+        // §13); everything else keeps the linear driver's exact
+        // traversal, byte charges, and emissions.
+        if (query_.hasInteriorDescendant())
+            drive(NfaDriver(query_, options_, in, sink, result));
+        else
+            drive(Driver(query_, options_, in, sink, result));
+    } catch (const ParseError& e) {
+        // A self-built index only contradicts the driver on
+        // grammatically invalid (though structurally clean) documents,
+        // where the driver's lenient skip rules desynchronize its
+        // depth from the classifier's — e.g. a backslash spliced in
+        // front of a string's closing quote.  When the caller passed
+        // the bytes resident and nothing reached the sink yet (every
+        // match is counted just before delivery), replay plain: warm
+        // output stays identical to streaming even on junk.  Otherwise
+        // the typed mismatch propagates (fail closed, never wrong
+        // output): a forward-only source is already consumed, and
+        // after an emission a replay would duplicate matches.
+        if (!in.index || !in.resident() ||
+            e.code() != ErrorCode::IndexMismatch ||
+            (sink && result.matches != 0))
+            throw;
+        in.index = nullptr;
+        return pass(in, sink);
     }
-    driver.finish();
     return result;
 }
 

@@ -29,6 +29,8 @@ class StructuralIndex;
 
 namespace jsonski::ski {
 
+struct PassInput;
+
 using path::CollectSink;
 using path::MatchSink;
 
@@ -79,71 +81,59 @@ class Streamer
     static constexpr size_t kDefaultChunkBytes = size_t{1} << 16;
 
     /**
-     * Evaluate the query over one JSON record.
+     * Evaluate the query over one JSON record.  Every overload below
+     * runs the same pass (DESIGN.md §16) and differs only in where the
+     * record comes from.
      *
      * @param json  The record text.
-     * @param sink  Optional match receiver (null = count only).
+     * @param sink  Optional match receiver (null = count only); it may
+     *              throw StopStreaming to end the pass early.
      * @throws ParseError on malformed input along the traversed path.
-     *
-     * Setting JSONSKI_TEST_CHUNK_BYTES=N in the environment reroutes
-     * this overload through the chunked path with N-byte chunks, which
-     * turns every whole-buffer caller into a chunk-seam test.
      */
     StreamResult run(std::string_view json, MatchSink* sink = nullptr) const;
 
     /**
-     * Evaluate the query over a record delivered incrementally by a
-     * ChunkSource, without ever materializing the document: resident
-     * memory is bounded by @p chunk_bytes plus the largest span still
-     * held for a sink (DESIGN.md §9).  Matches, error positions, and
-     * FastForwardStats are byte-identical to the whole-buffer overload.
+     * The record delivered incrementally by a ChunkSource, never
+     * materialized: resident memory is bounded by @p chunk_bytes plus
+     * the largest span still held for a sink (DESIGN.md §9).  Matches,
+     * error positions and FastForwardStats are identical to run(json).
      */
     StreamResult run(intervals::ChunkSource& source,
                      MatchSink* sink = nullptr,
                      size_t chunk_bytes = kDefaultChunkBytes) const;
 
     /**
-     * Whole-buffer evaluation that is never rerouted by
-     * JSONSKI_TEST_CHUNK_BYTES.  Reserved for callers that require the
-     * input to stay resident — the parallel splitter keeps zero-copy
-     * views of @p json across its fan-out/merge phases.  Everything
-     * else should call run().
+     * run(json) that the JSONSKI_TEST_CHUNK_BYTES test reroute never
+     * streams chunked, for callers that keep zero-copy views of
+     * @p json (the parallel splitter).
      */
     StreamResult runResident(std::string_view json,
                              MatchSink* sink = nullptr) const;
 
     /**
-     * Evaluate the query with a pre-built structural semi-index
-     * (DESIGN.md §14) bound to the pass's skipper: G4/G5 container-end
-     * targets and primitive-run stops are answered from the index's
-     * level bitmaps and the cursor teleports to them, instead of
-     * scanning the skipped bytes.  Matches, error positions, and match
-     * counts are bit-identical to run(); only the work to produce them
-     * changes.
-     *
-     * The caller owns the identity check: @p idx must have been built
-     * from exactly these bytes (StructuralIndex::describes()) — this
-     * method does not re-hash the input.  A !usable() index (the
-     * document is structurally unclean) falls back to plain run(); a
-     * *wrong* index for the document surfaces as
-     * ParseError(ErrorCode::IndexMismatch), never as wrong output.
-     *
-     * JSONSKI_TEST_CHUNK_BYTES reroutes this overload through the
-     * chunked variant exactly as it does for run().
+     * run(json) with a structural semi-index (DESIGN.md §14) answering
+     * the G4/G5 and primitive-run skips; output is bit-identical to
+     * run(json).  @p idx must have been built from exactly these bytes
+     * (StructuralIndex::describes(); not re-checked here).  A
+     * !usable() index streams plain; a wrong one surfaces as
+     * ParseError(ErrorCode::IndexMismatch) unless a plain replay of the
+     * resident bytes can still answer (nothing delivered yet).
      */
     StreamResult runIndexed(std::string_view json,
                             const index::StructuralIndex& idx,
                             MatchSink* sink = nullptr) const;
 
-    /** Chunked counterpart of runIndexed(); the warp over a skipped
-     *  span ingests and recycles the window as it goes, so residency
-     *  bounds match the chunked run() overload. */
+    /** runIndexed() over a ChunkSource, within the residency bounds of
+     *  the chunked run().  A forward-only source cannot be replayed,
+     *  so an IndexMismatch always propagates. */
     StreamResult runIndexed(intervals::ChunkSource& source,
                             const index::StructuralIndex& idx,
                             MatchSink* sink = nullptr,
                             size_t chunk_bytes = kDefaultChunkBytes) const;
 
   private:
+    StreamResult pass(PassInput in, MatchSink* sink) const;
+
     path::PathQuery query_;
     StreamerOptions options_;
 };
