@@ -6,10 +6,12 @@
  * answering over streamed trees" is the theory reference).  The
  * headline number is the speedup at 1000 shared-prefix queries — the
  * standing-query fan-out workload where the sequential baseline pays
- * 1000 full scans of the same bytes.  Next to the sweep, three fixed
- * sets of 2-4 real queries over TT, BB and WM (the `paper` rows) show
- * where small batches stand: the one-pass time should approach the
- * slowest single query's, not the sum.
+ * 1000 full scans of the same bytes.  Next to the sweep, four fixed
+ * sets of 2-4 real queries over TT, BB, WM and NSPL (the `paper` rows)
+ * show where small batches stand: the one-pass time should approach
+ * the slowest single query's, not the sum.  The NSPL row's overlapping
+ * index ranges over arrays of primitives exercise the batched pass's
+ * G1 element scans.
  *
  * Emits BENCH_multiquery.json (schema jsonski-bench-v1): a sequential
  * and a batched row per (shape, N) with wall time, throughput, the
@@ -177,6 +179,7 @@ main(int argc, char** argv)
          {"$.pd[*].cp[1:3].id", "$.pd[*].vc[*].cha", "$.pd[*].price",
           "$.pd[*].name"}},
         {gen::DatasetId::WM, {"$.it[*].nm", "$.it[*].bmrpr.pr"}},
+        {gen::DatasetId::NSPL, {"$.dt[*][*][2:4]", "$.dt[*][0]"}},
     };
     for (const auto& [dataset, texts] : paper) {
         compare(report, "paper/" + std::string(gen::datasetName(dataset)),

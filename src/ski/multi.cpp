@@ -1,6 +1,9 @@
 #include "ski/multi.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <memory>
 
 #include "ski/pass.h"
 #include "ski/sinks.h"
@@ -40,11 +43,12 @@ void
 MultiStreamer::build()
 {
     trie_.emplace_back(); // root
-    trie_[0].live = path::QueryBits(set_.size());
+    // (node, name) -> child while the trie grows; the key tables of the
+    // records replace it once compiled.
+    std::map<std::pair<int, std::string_view>, int> key_edge;
     for (size_t qi = 0; qi < set_.size(); ++qi) {
         const PathQuery& q = set_.distinct[qi];
         int node = 0;
-        trie_[0].live.set(qi);
         size_t k = 0;
         for (; k < q.steps.size(); ++k) {
             const PathStep& step = q.steps[k];
@@ -52,18 +56,11 @@ MultiStreamer::build()
                 break; // filter/descendant: the suffix diverges here
             int next = -1;
             if (step.kind == PathStep::Kind::Key) {
-                for (auto& [key, child] : trie_[node].key_children) {
-                    if (key == step.key) {
-                        next = child;
-                        break;
-                    }
-                }
-                if (next < 0) {
-                    next = static_cast<int>(trie_.size());
+                auto [it, added] = key_edge.try_emplace(
+                    {node, step.key}, static_cast<int>(trie_.size()));
+                next = it->second;
+                if (added)
                     trie_[node].key_children.emplace_back(step.key, next);
-                    trie_.emplace_back();
-                    trie_.back().live = path::QueryBits(set_.size());
-                }
             } else {
                 for (auto& [s, child] : trie_[node].array_children) {
                     if (s == step) {
@@ -74,12 +71,11 @@ MultiStreamer::build()
                 if (next < 0) {
                     next = static_cast<int>(trie_.size());
                     trie_[node].array_children.emplace_back(step, next);
-                    trie_.emplace_back();
-                    trie_.back().live = path::QueryBits(set_.size());
                 }
             }
+            if (next == static_cast<int>(trie_.size()))
+                trie_.emplace_back();
             node = next;
-            trie_[node].live.set(qi);
         }
         if (k < q.steps.size()) {
             // Divergent suffix: `$` + the remaining steps, compiled
@@ -90,34 +86,195 @@ MultiStreamer::build()
             suffix.steps.assign(q.steps.begin() +
                                     static_cast<std::ptrdiff_t>(k),
                                 q.steps.end());
+            bool on_array =
+                suffix.steps.front().kind == PathStep::Kind::Filter;
             trie_[node].suffixes.push_back(suffixes_.size());
-            suffixes_.push_back(Suffix{qi, Streamer(std::move(suffix))});
+            trie_[node].wants |= on_array ? kArray : kValue;
+            suffixes_.push_back(
+                Suffix{qi, Streamer(std::move(suffix)), on_array});
         } else {
             trie_[node].accepts.push_back(qi);
+            trie_[node].wants |= kValue;
+        }
+    }
+    for (Node& n : trie_) {
+        if (!n.key_children.empty())
+            n.wants |= kObject;
+        if (!n.array_children.empty())
+            n.wants |= kArray;
+    }
+
+    records_.reserve(trie_.size());
+    for (size_t n = 0; n < trie_.size(); ++n)
+        records_.push_back(compile({static_cast<int>(n)}, sets_));
+}
+
+MultiStreamer::StateRef
+MultiStreamer::name(std::vector<int> nodes, NodeSets& sets) const
+{
+    if (nodes.empty())
+        return kNoState;
+    if (nodes.size() == 1)
+        return nodes[0];
+    if (&sets != &sets_) {
+        auto plan = sets_.ids.find(nodes);
+        if (plan != sets_.ids.end())
+            return ~static_cast<StateRef>(plan->second);
+    }
+    auto [it, added] =
+        sets.ids.try_emplace(nodes, sets.first + sets.lists.size());
+    if (added)
+        sets.lists.push_back(std::move(nodes));
+    return ~static_cast<StateRef>(it->second);
+}
+
+MultiStreamer::Record
+MultiStreamer::compile(const std::vector<int>& nodes, NodeSets& sets) const
+{
+    auto wantsOf = [&](const std::vector<int>& set) {
+        uint8_t wants = 0;
+        for (int n : set)
+            wants |= trie_[n].wants;
+        return wants;
+    };
+
+    Record rec;
+    rec.trace = static_cast<uint16_t>(nodes.front());
+
+    // Keys: one slot per distinct name; its next state is every node
+    // that name leads to from the set.
+    size_t names = 0;
+    for (int n : nodes)
+        names += trie_[n].key_children.size();
+    rec.keys.reserve(names);
+    std::vector<std::vector<int>> key_next;
+    for (int n : nodes) {
+        for (const auto& [key, child] : trie_[n].key_children) {
+            size_t slot = rec.keys.insert(key);
+            if (slot == key_next.size())
+                key_next.emplace_back();
+            key_next[slot].push_back(child);
+        }
+    }
+    for (std::vector<int>& next : key_next) {
+        std::sort(next.begin(), next.end());
+        uint8_t wants = wantsOf(next);
+        for (size_t bit = 0; bit < rec.waiting.size(); ++bit)
+            rec.waiting[bit] += (wants >> bit) & 1;
+        rec.key_edges.push_back({name(std::move(next), sets), wants});
+    }
+
+    // Elements: cut the index space at every range bound; coverage is
+    // constant between two consecutive cuts.
+    std::vector<std::pair<const PathStep*, int>> steps;
+    std::vector<size_t> cuts{0};
+    for (int n : nodes) {
+        for (const auto& [step, child] : trie_[n].array_children) {
+            steps.emplace_back(&step, child);
+            if (step.lo < step.hi) {
+                cuts.push_back(step.lo);
+                cuts.push_back(step.hi);
+            }
+        }
+    }
+    if (!steps.empty()) {
+        std::sort(cuts.begin(), cuts.end());
+        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+        if (cuts.back() != SIZE_MAX)
+            cuts.push_back(SIZE_MAX);
+        for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+            std::vector<int> covering;
+            for (const auto& [step, child] : steps) {
+                if (step->coversIndex(cuts[i]))
+                    covering.push_back(child);
+            }
+            std::sort(covering.begin(), covering.end());
+            uint8_t wants = wantsOf(covering);
+            char open = wants == kObject ? '{' : wants == kArray ? '[' : '\0';
+            rec.segments.push_back(
+                {cuts[i + 1], name(std::move(covering), sets), open});
         }
     }
 
-    // Type summary per node, for the G1 typed attribute scan.
-    for (Node& n : trie_) {
-        bool wants_obj = !n.key_children.empty();
-        bool wants_ary = !n.array_children.empty();
-        bool wants_any = !n.accepts.empty();
-        for (size_t si : n.suffixes) {
-            const PathStep& first =
-                suffixes_[si].streamer.query().steps.front();
-            if (first.kind == PathStep::Kind::Filter)
-                wants_ary = true;
-            else
-                wants_any = true; // descendant: any container type
+    for (int n : nodes) {
+        rec.accepts.insert(rec.accepts.end(), trie_[n].accepts.begin(),
+                           trie_[n].accepts.end());
+        for (size_t si : trie_[n].suffixes) {
+            rec.suffixes.push_back(si);
+            (suffixes_[si].on_array ? rec.array_suffixes
+                                    : rec.value_suffixes) = true;
         }
-        n.obj_only = wants_obj && !wants_ary && !wants_any;
-        n.ary_only = wants_ary && !wants_obj && !wants_any;
+    }
+    std::sort(rec.accepts.begin(), rec.accepts.end());
+    return rec;
+}
+
+void
+MultiStreamer::KeyTable::reserve(size_t n)
+{
+    size_t buckets = 4;
+    while (buckets < 2 * n)
+        buckets *= 2;
+    buckets_.assign(buckets, 0);
+    names_.reserve(n);
+}
+
+uint64_t
+MultiStreamer::KeyTable::hash(std::string_view name)
+{
+    // Eight bytes at a time; the length seeds the state so names that
+    // differ only in length (`f1`, `f10`) spread too.
+    uint64_t h = name.size() * 0x9e3779b97f4a7c15ull;
+    size_t i = 0;
+    for (; i + 8 <= name.size(); i += 8) {
+        uint64_t w;
+        std::memcpy(&w, name.data() + i, 8);
+        h = (h ^ w) * 0xbf58476d1ce4e5b9ull;
+        h ^= h >> 31;
+    }
+    if (i < name.size()) {
+        uint64_t w = 0;
+        std::memcpy(&w, name.data() + i, name.size() - i);
+        h = (h ^ w) * 0x94d049bb133111ebull;
+    }
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ull;
+    return h ^ (h >> 32);
+}
+
+size_t
+MultiStreamer::KeyTable::bucket(std::string_view name, uint64_t h) const
+{
+    size_t mask = buckets_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+        uint64_t b = buckets_[i];
+        if (b == 0 || ((b & kTag) == (h & kTag) &&
+                       names_[(b & ~kTag) - 1] == name))
+            return i;
     }
 }
 
-namespace {
+size_t
+MultiStreamer::KeyTable::insert(std::string_view name)
+{
+    assert(2 * names_.size() < buckets_.size());
+    uint64_t h = hash(name);
+    uint64_t& b = buckets_[bucket(name, h)];
+    if (b == 0) {
+        names_.emplace_back(name);
+        b = (h & kTag) | names_.size();
+    }
+    return (b & ~kTag) - 1;
+}
 
-using NodeSet = std::vector<int>;
+int
+MultiStreamer::KeyTable::find(std::string_view name) const
+{
+    uint64_t b = buckets_[bucket(name, hash(name))];
+    return static_cast<int>(b & ~kTag) - 1;
+}
+
+namespace {
 
 /**
  * MatchSink adapter for a divergent-suffix replay: forwards each match
@@ -156,15 +313,19 @@ class SuffixSink final : public path::MatchSink
 /** One multi-query pass over a single record. */
 class MultiDriver : public PassShell
 {
+    using Record = MultiStreamer::Record;
+    using StateRef = MultiStreamer::StateRef;
+
   public:
     MultiDriver(const MultiStreamer& ms, const PassInput& in,
                 MultiSink* sink, MultiStreamer::Result& result)
         : PassShell(in, &result.stats),
           ms_(ms),
           sink_(sink),
-          result_(result),
-          emit_bits_(ms.queryCount())
-    {}
+          result_(result)
+    {
+        sets_.first = ms.sets_.lists.size();
+    }
 
     void
     run()
@@ -172,170 +333,197 @@ class MultiDriver : public PassShell
         char c = cur_.skipWhitespace();
         if (c == '\0')
             throw ParseError(ErrorCode::UnexpectedEnd, "empty input", 0);
-        NodeSet root{0};
-        runValue(root, /*top=*/true);
+        runValue(ms_.records_[0], /*later=*/false, /*top=*/true);
     }
 
   private:
-    const MultiStreamer::Node& node(int i) const { return ms_.trie_[i]; }
+    /**
+     * Record of state @p ref.  A node set's record is merged from its
+     * nodes on first use and kept for the rest of the pass: the plan
+     * stays read-only, so concurrent passes share it without a lock.
+     */
+    const Record&
+    at(StateRef ref)
+    {
+        if (ref >= 0)
+            return ms_.records_[static_cast<size_t>(ref)];
+        size_t id = static_cast<size_t>(~ref);
+        if (id >= merged_.size())
+            merged_.resize(id + 1);
+        if (!merged_[id]) {
+            // A copy: compiling may add sets to sets_.lists.
+            std::vector<int> nodes = id < sets_.first
+                                         ? ms_.sets_.lists[id]
+                                         : sets_.lists[id - sets_.first];
+            merged_[id] =
+                std::make_unique<Record>(ms_.compile(nodes, sets_));
+        }
+        return *merged_[id];
+    }
 
     void
-    emitTo(const NodeSet& active, size_t begin, size_t end)
+    emit(const Record& rec, size_t begin, size_t end)
     {
         telemetry::PhaseScope phase(telemetry::Phase::Emit);
         end = trimmedEnd(cur_, begin, end);
-        // Collect acceptors into a bitset first: one frame per
-        // distinct query per value, by construction, in ascending-id
-        // order regardless of active-set order.
-        emit_bits_.clear();
-        for (int n : active) {
-            for (size_t qi : node(n).accepts)
-                emit_bits_.set(qi);
-        }
-        emit_bits_.forEach([&](size_t qi) {
+        // One frame per distinct query per value, ascending ids.
+        for (size_t qi : rec.accepts) {
             ++result_.matches[qi];
             if (sink_)
                 sink_->onMatch(qi, cur_.slice(begin, end));
-        });
-    }
-
-    /**
-     * Replay every divergent suffix registered on the active set over
-     * the value span [begin, end): each suffix is a full single-query
-     * engine (filters, descendants) running on the held-resident
-     * bytes, reporting under its distinct query id.  Error positions
-     * translate by the span offset, so malformed input surfaces at the
-     * same absolute byte a solo run of the full query reports.
-     */
-    void
-    replaySuffixes(const NodeSet& active, size_t begin, size_t end)
-    {
-        end = trimmedEnd(cur_, begin, end);
-        for (int n : active) {
-            for (size_t si : node(n).suffixes) {
-                const MultiStreamer::Suffix& suf = ms_.suffixes_[si];
-                SuffixSink fwd(sink_, suf.qi);
-                StreamResult r;
-                replayHeld(cur_, begin, end, "in multi-query suffix",
-                           [&](std::string_view span) {
-                               r = suf.streamer.runResident(span, &fwd);
-                           });
-                result_.matches[suf.qi] += r.matches;
-                result_.stats.merge(r.stats);
-                result_.per_query[suf.qi].merge(r.stats);
-                if (fwd.stopped)
-                    throw StopStreaming{};
-            }
         }
     }
 
     /**
-     * Process one value against the active node set.  @p top marks the
-     * root value: on a root type mismatch (no live branch fits the
-     * container, nothing accepts and no suffix wants the bytes) the
-     * pass stops without ingesting the value, exactly like the
-     * single-query engine — the scan is a prefix read, not a
+     * Replay the divergent suffixes of the state that apply to the
+     * value span [begin, end) — filter-first ones only over an array
+     * (@p c is the value's first byte), descendant-first ones unless
+     * @p later — each a full single-query engine running on the
+     * held-resident bytes, reporting under its distinct query id.
+     * Error positions translate by the span offset, so malformed input
+     * surfaces at the same absolute byte a solo run of the full query
+     * reports.
+     */
+    void
+    replaySuffixes(const Record& rec, size_t begin, size_t end, char c,
+                   bool later)
+    {
+        end = trimmedEnd(cur_, begin, end);
+        for (size_t si : rec.suffixes) {
+            const MultiStreamer::Suffix& suf = ms_.suffixes_[si];
+            if (suf.on_array ? c != '[' : later)
+                continue;
+            SuffixSink fwd(sink_, suf.qi);
+            StreamResult r;
+            replayHeld(cur_, begin, end, "in multi-query suffix",
+                       [&](std::string_view span) {
+                           r = suf.streamer.runResident(span, &fwd);
+                       });
+            result_.matches[suf.qi] += r.matches;
+            result_.stats.merge(r.stats);
+            result_.per_query[suf.qi].merge(r.stats);
+            if (fwd.stopped)
+                throw StopStreaming{};
+        }
+    }
+
+    /**
+     * Process one value in state @p rec.  @p later marks a member
+     * whose key slot an earlier member already bound for the kValue
+     * queries: only the container-stepping queries still bind here.
+     * @p top marks the root value: on a root type mismatch (no live
+     * branch fits the container, nothing accepts and no suffix wants
+     * the bytes) the pass stops without ingesting the value, exactly
+     * like the single-query engine — the scan is a prefix read, not a
      * validator, so the batched pass never pulls more chunks than the
      * slowest solo pass would.
      */
     void
-    runValue(const NodeSet& active, bool top = false)
+    runValue(const Record& rec, bool later = false, bool top = false)
     {
-        // Trace tag: representative trie node of the active set.
-        skip_.setTraceState(static_cast<uint16_t>(active[0]));
-        bool want_obj = false;
-        bool want_ary = false;
-        bool accepts = false;
-        bool suffix = false;
-        for (int n : active) {
-            want_obj = want_obj || !node(n).key_children.empty();
-            want_ary = want_ary || !node(n).array_children.empty();
-            accepts = accepts || !node(n).accepts.empty();
-            suffix = suffix || !node(n).suffixes.empty();
-        }
-
+        skip_.setTraceState(rec.trace);
         char c = cur_.skipWhitespace();
         if (c == '\0')
             throw ParseError(ErrorCode::BadValue, "missing value", cur_.pos());
+        bool emits = !later && !rec.accepts.empty();
+        bool replays = (!later && rec.value_suffixes) ||
+                       (c == '[' && rec.array_suffixes);
         size_t start = cur_.pos();
         // The value is reported whole (or replayed against the
         // divergent suffixes) once consumed: keep its span resident
         // across any chunk seams it straddles.
-        HoldScope hold(cur_, accepts || suffix
+        HoldScope hold(cur_, emits || replays
                                  ? start
                                  : intervals::StreamCursor::kNoHold);
-        if (c == '{' && want_obj) {
+        if (c == '{' && rec.wantsObject()) {
             cur_.advance(1);
-            runObject(active);
-        } else if (c == '[' && want_ary) {
+            runObject(rec);
+        } else if (c == '[' && rec.wantsArray()) {
             cur_.advance(1);
-            runArray(active);
-        } else if (top && !accepts && !suffix) {
+            runArray(rec);
+        } else if (top && !emits && !replays) {
             return; // root type mismatch: no live query can match
         } else {
             // Nothing deeper in the trie can match: fast-forward the
             // whole value (still resident when a suffix replays it).
-            skip_.overValue((accepts || suffix) ? Group::G3 : Group::G2);
+            skip_.overValue(emits || replays ? Group::G3 : Group::G2);
         }
-        if (accepts)
-            emitTo(active, start, cur_.pos());
-        if (suffix)
-            replaySuffixes(active, start, cur_.pos());
+        if (emits)
+            emit(rec, start, cur_.pos());
+        if (replays)
+            replaySuffixes(rec, start, cur_.pos(), c, later);
     }
 
-    /** Count of distinct attribute names the active set can match. */
-    size_t
-    distinctKeyCount(const NodeSet& active)
+    /**
+     * G1 filter for the key slots still waiting: Object (Array) when
+     * every query not yet bound steps attributes (elements), else Any.
+     */
+    static Skipper::TypeFilter
+    filterFor(const std::array<uint32_t, 3>& waiting)
     {
-        if (active.size() == 1)
-            return node(active[0]).key_children.size();
-        scratch_keys_.clear();
-        for (int n : active) {
-            for (const auto& [key, child] : node(n).key_children) {
-                if (std::find(scratch_keys_.begin(), scratch_keys_.end(),
-                              key) == scratch_keys_.end()) {
-                    scratch_keys_.push_back(key);
-                }
-            }
-        }
-        return scratch_keys_.size();
+        if (waiting[0] != 0 || (waiting[1] != 0) == (waiting[2] != 0))
+            return Skipper::TypeFilter::Any;
+        return waiting[1] != 0 ? Skipper::TypeFilter::Object
+                               : Skipper::TypeFilter::Array;
     }
 
     /** Entry: position just past '{'.  Exit: just past the '}'. */
     void
-    runObject(const NodeSet& active)
+    runObject(const Record& rec)
     {
-        size_t remaining = distinctKeyCount(active);
-
-        // A shared type filter is sound only when every candidate
-        // attribute needs the same container type.
-        Skipper::TypeFilter filter = sharedFilter(active);
-
-        NodeSet targets;
-        targets.reserve(4);
+        std::array<uint32_t, 3> waiting = rec.waiting;
+        // Wants bits each key slot has bound so far, on bound_ from
+        // `base`; exceptions end the pass, so only returns pop them.
+        size_t base = bound_top_;
+        bound_top_ += rec.keys.size();
+        if (bound_.size() < bound_top_)
+            bound_.resize(bound_top_);
+        std::fill(bound_.begin() + static_cast<std::ptrdiff_t>(base),
+                  bound_.begin() + static_cast<std::ptrdiff_t>(bound_top_),
+                  0);
         for (;;) {
-            Skipper::AttrResult attr = skip_.toAttr(filter, Group::G1);
-            if (!attr.found)
+            Skipper::AttrResult attr =
+                skip_.toAttr(filterFor(waiting), Group::G1);
+            if (!attr.found) {
+                bound_top_ = base;
                 return;
-            std::string_view key =
-                cur_.slice(attr.key_begin, attr.key_end);
-            targets.clear();
-            for (int n : active) {
-                for (const auto& [k, child] : node(n).key_children) {
-                    if (k == key)
-                        targets.push_back(child);
-                }
             }
-            if (targets.empty()) {
+            int found =
+                rec.keys.find(cur_.slice(attr.key_begin, attr.key_end));
+            if (found < 0) {
                 skip_.overValue(Group::G2);
                 continue;
             }
-            runValue(targets);
-            skip_.setTraceState(static_cast<uint16_t>(active[0]));
-            // Generalized G4: abandon the object once every candidate
-            // name has been seen (names are unique per object).
-            if (--remaining == 0) {
+            // First-occurrence binding (DESIGN.md §13), per query: a
+            // query binds the first member with its name whose value
+            // has the type its next step needs — what the solo
+            // engine's G1 filter lets it see.  A member nobody binds
+            // (a later duplicate) is G2.
+            size_t slot = static_cast<size_t>(found);
+            const MultiStreamer::KeyEdge& edge = rec.key_edges[slot];
+            uint8_t bound = bound_[base + slot];
+            char c = cur_.current();
+            uint8_t fits = MultiStreamer::kValue |
+                           (c == '{'   ? MultiStreamer::kObject
+                            : c == '[' ? MultiStreamer::kArray
+                                       : 0);
+            uint8_t binds = edge.wants & fits & ~bound;
+            if (binds == 0) {
+                skip_.overValue(Group::G2);
+                continue;
+            }
+            bound_[base + slot] = bound | binds;
+            for (size_t bit = 0; bit < waiting.size(); ++bit)
+                waiting[bit] -= (binds >> bit) & 1;
+            runValue(at(edge.next),
+                     /*later=*/(bound & MultiStreamer::kValue) != 0);
+            skip_.setTraceState(rec.trace);
+            // Generalized G4: abandon the object once every query of
+            // every key slot is bound.  Until then the G1 filter
+            // narrows to what the waiting queries still need.
+            if (waiting == std::array<uint32_t, 3>{}) {
                 skip_.toObjEnd(Group::G4);
+                bound_top_ = base;
                 return;
             }
         }
@@ -343,56 +531,41 @@ class MultiDriver : public PassShell
 
     /** Entry: position just past '['.  Exit: just past the ']'. */
     void
-    runArray(const NodeSet& active)
+    runArray(const Record& rec)
     {
-        // Local copy: recursion below may reuse the scratch space.
-        std::vector<std::pair<const PathStep*, int>> steps;
-        steps.reserve(4);
-        for (int n : active) {
-            for (const auto& [step, child] : node(n).array_children)
-                steps.emplace_back(&step, child);
-        }
-        size_t lo_min = SIZE_MAX;
-        size_t hi_max = 0;
-        for (auto& [step, child] : steps) {
-            lo_min = std::min(lo_min, step->lo);
-            hi_max = std::max(hi_max, step->hi);
-        }
-
         size_t idx = 0;
-        char c = cur_.skipWhitespace();
-        if (c == ']') {
-            cur_.advance(1);
-            return;
-        }
-        if (lo_min > 0 &&
-            skip_.overElems(lo_min, idx, Group::G5) ==
-                Skipper::ElemStop::End) {
-            return;
-        }
-        NodeSet covering;
+        const MultiStreamer::Segment* seg = rec.segments.data();
         for (;;) {
-            if (idx >= hi_max) {
-                skip_.toAryEnd(Group::G5);
-                return;
+            while (idx >= seg->hi)
+                ++seg;
+            if (seg->next == MultiStreamer::kNoState) {
+                if (seg->hi == SIZE_MAX) {
+                    // G5: every range is exhausted.
+                    skip_.toAryEnd(Group::G5);
+                    return;
+                }
+                // G5: a gap below or between ranges.
+                if (skip_.overElems(seg->hi - idx, idx, Group::G5) ==
+                    Skipper::ElemStop::End)
+                    return;
+                continue;
             }
-            c = cur_.skipWhitespace();
-            if (c == ']') {
+            if (seg->open != '\0') {
+                // G1: every node covering this segment wants one
+                // container type; the budget stops at the segment's
+                // end, where coverage changes.
+                if (skip_.toTypedElem(seg->open, idx, seg->hi, Group::G1) ==
+                    Skipper::ElemStop::End)
+                    return;
+                if (idx >= seg->hi)
+                    continue;
+            } else if (cur_.skipWhitespace() == ']') {
                 cur_.advance(1);
                 return;
             }
-            covering.clear();
-            for (auto& [step, child] : steps) {
-                if (step->coversIndex(idx))
-                    covering.push_back(child);
-            }
-            if (covering.empty()) {
-                skip_.overValue(Group::G5); // a gap between ranges
-            } else {
-                runValue(covering);
-                skip_.setTraceState(static_cast<uint16_t>(active[0]));
-            }
-            c = cur_.skipWhitespace();
+            runValue(at(seg->next));
+            skip_.setTraceState(rec.trace);
+            char c = cur_.skipWhitespace();
             if (c == ',') {
                 cur_.advance(1);
                 ++idx;
@@ -407,31 +580,13 @@ class MultiDriver : public PassShell
         }
     }
 
-    /** Object filter usable for *all* candidate attributes, or Any. */
-    Skipper::TypeFilter
-    sharedFilter(const NodeSet& active) const
-    {
-        bool all_obj = true;
-        bool all_ary = true;
-        for (int n : active) {
-            for (const auto& [key, child] : node(n).key_children) {
-                const MultiStreamer::Node& t = node(child);
-                all_obj = all_obj && t.obj_only;
-                all_ary = all_ary && t.ary_only;
-            }
-        }
-        if (all_obj)
-            return Skipper::TypeFilter::Object;
-        if (all_ary)
-            return Skipper::TypeFilter::Array;
-        return Skipper::TypeFilter::Any;
-    }
-
     const MultiStreamer& ms_;
-    std::vector<std::string_view> scratch_keys_;
     MultiSink* sink_;
     MultiStreamer::Result& result_;
-    path::QueryBits emit_bits_;
+    MultiStreamer::NodeSets sets_; ///< node sets named during this pass
+    std::vector<std::unique_ptr<Record>> merged_; ///< by set id
+    std::vector<uint8_t> bound_; ///< key-slot Wants bits of open objects
+    size_t bound_top_ = 0;
 };
 
 MultiStreamer::Result

@@ -5,13 +5,20 @@
  *
  * The query set is normalized (canonical forms, duplicates collapsed —
  * path/queryset.h) and the plain-step prefixes are compiled into a
- * prefix trie whose nodes carry per-level bitsets of the distinct
- * queries still live below them.  The driver walks the stream once
- * with a *set* of active trie nodes per level and fast-forwards
- * whatever no live query cares about: G2/G4/G5 skips fire only when
- * *no* live query can match below the skipped region.  The G4
- * optimization generalizes: an object is abandoned once every distinct
- * attribute name any active query could match has been seen.
+ * prefix trie.  Each trie node is compiled once more into a dispatch
+ * record: a hashed key table (attribute name → key slot → next state),
+ * the count of key slots wanting each value type, the array index
+ * space cut into segments of constant coverage, and the acceptor and
+ * suffix ids.  The driver walks the stream once with a *state* per
+ * level — one trie node, or a set of nodes active together
+ * (overlapping index ranges, a key named under two branches), whose
+ * merged record is compiled on first use and memoized for the rest of
+ * the pass.  It fast-forwards whatever no live query cares about:
+ * G2/G4/G5 skips fire only when *no* live query can match below the
+ * skipped region, G4 generalizes to "every key slot bound", the G1
+ * attribute filter narrows to what the unbound slots still need, and
+ * array elements nobody in the covering set can use are crossed with
+ * the G1 typed element scan.
  *
  * Queries with a filter or descendant step share the trie up to their
  * first such step; the divergent suffix is compiled into a per-query
@@ -26,8 +33,13 @@
 #ifndef JSONSKI_SKI_MULTI_H
 #define JSONSKI_SKI_MULTI_H
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <map>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "intervals/chunk_source.h"
@@ -154,7 +166,16 @@ class MultiStreamer
     {
         size_t qi;         ///< distinct query id it reports as
         Streamer streamer; ///< compiled `$<first filter/desc step>...`
+        bool on_array;     ///< filter-first: only arrays can match
     };
+
+    /**
+     * What a state does with a value, by the value's type: report it
+     * or search it with a descendant suffix (any type), step its
+     * attributes, step its elements or filter them.  A query needs
+     * exactly one of these at each trie node it passes.
+     */
+    enum Wants : uint8_t { kValue = 1, kObject = 2, kArray = 4 };
 
     /** One trie node; an edge per distinct next plain step. */
     struct Node
@@ -171,25 +192,112 @@ class MultiStreamer
         /** Indices into suffixes_ replayed over this node's value. */
         std::vector<size_t> suffixes;
 
-        /** Per-level live bitset: ids whose path traverses this node. */
-        path::QueryBits live;
+        /** Wants bits of the queries through this node. */
+        uint8_t wants = 0;
+    };
 
-        /**
-         * Type summary for the G1 typed scan: every interest below
-         * this node is an object attribute / an array element.
-         * Computed once at compile time; sharedFilter() ANDs these
-         * across the candidate children of an active set.
-         */
-        bool obj_only = false;
-        bool ary_only = false;
+    /**
+     * A driver state: trie node n (n >= 0), or the node set named ~n
+     * (n < 0, see NodeSets); kNoState where no node is active.
+     */
+    using StateRef = int;
+    static constexpr StateRef kNoState = INT32_MIN;
+
+    /**
+     * Sorted node lists of two or more nodes, named by dense ids.  The
+     * plan's table holds the sets its own records point at; a pass
+     * extends it privately (ids from `first` on) for the sets merged
+     * records point at.
+     */
+    struct NodeSets
+    {
+        std::map<std::vector<int>, size_t> ids;
+        std::vector<std::vector<int>> lists;
+        size_t first = 0;
+    };
+
+    /** Attribute name → key slot: open addressing, one probe typical. */
+    class KeyTable
+    {
+      public:
+        /** Size the buckets for up to @p n names. */
+        void reserve(size_t n);
+
+        /** Slot of @p name, adding it as the next slot when new. */
+        size_t insert(std::string_view name);
+
+        /** Slot of @p name, or -1. */
+        int find(std::string_view name) const;
+
+        size_t size() const { return names_.size(); }
+
+      private:
+        static constexpr uint64_t kTag = ~uint64_t{0xffffffff};
+
+        static uint64_t hash(std::string_view name);
+
+        /** Bucket holding @p name (hash @p h), or the empty one. */
+        size_t bucket(std::string_view name, uint64_t h) const;
+
+        std::vector<std::string> names_;
+        /** Hash high half (kTag bits) | slot + 1; 0 = empty bucket. */
+        std::vector<uint64_t> buckets_;
+    };
+
+    /** Next state of a key slot and the Wants bits of its queries. */
+    struct KeyEdge
+    {
+        StateRef next;
+        uint8_t wants;
+    };
+
+    /**
+     * Array positions from the previous segment's `hi` (0 for the
+     * first) up to `hi`, all covered by the same state.  The last
+     * segment ends at SIZE_MAX; kNoState there means the ranges are
+     * exhausted, elsewhere a gap between ranges.  @c open is the
+     * container type every query of the covering state needs (G1
+     * element batching), or 0.
+     */
+    struct Segment
+    {
+        size_t hi;
+        StateRef next;
+        char open;
+    };
+
+    /** Dispatch record of one state, compiled once (DESIGN.md §15). */
+    struct Record
+    {
+        KeyTable keys;
+        std::vector<KeyEdge> key_edges; ///< per key slot
+        /** Per Wants bit, in bit order: key slots whose queries want it. */
+        std::array<uint32_t, 3> waiting{};
+        std::vector<Segment> segments;  ///< empty: no array step
+        std::vector<size_t> accepts;    ///< distinct ids, ascending
+        std::vector<size_t> suffixes;   ///< indices into suffixes_
+        bool value_suffixes = false;    ///< some suffix is not on_array
+        bool array_suffixes = false;    ///< some suffix is on_array
+        uint16_t trace = 0;             ///< representative trie node
+
+        bool wantsObject() const { return keys.size() != 0; }
+        bool wantsArray() const { return !segments.empty(); }
     };
 
     void build();
     Result pass(const PassInput& in, MultiSink* sink) const;
 
+    /** Record of the state made of the sorted @p nodes. */
+    Record compile(const std::vector<int>& nodes, NodeSets& sets) const;
+
+    /** Name of the node set @p nodes (sorted), added to @p sets if new. */
+    StateRef name(std::vector<int> nodes, NodeSets& sets) const;
+
     path::QuerySet set_;
     std::vector<Node> trie_;
     std::vector<Suffix> suffixes_;
+    std::vector<Record> records_; ///< one per trie node
+    NodeSets sets_;               ///< sets the records_ point at
 };
 
 } // namespace jsonski::ski

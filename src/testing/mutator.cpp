@@ -1,8 +1,11 @@
 #include "testing/mutator.h"
 
 #include <iterator>
+#include <utility>
+#include <vector>
 
 #include "intervals/block.h"
+#include "json/text.h"
 #include "path/ast.h"
 #include "path/parser.h"
 
@@ -64,6 +67,55 @@ randomStep(Rng& rng)
         return PathStep::makeFilter(field, op, std::move(lit));
       }
     }
+}
+
+/**
+ * Spans of the `"key":value` members of every object in @p doc, end
+ * trimmed of whitespace.  A lexical scan (string state and a container
+ * stack), so damaged documents yield some spans and never a crash.
+ */
+std::vector<std::pair<size_t, size_t>>
+memberSpans(const std::string& doc)
+{
+    constexpr size_t kNone = std::string::npos;
+    struct Open
+    {
+        bool object;
+        size_t member = kNone; ///< start of the member being read
+    };
+    std::vector<Open> open;
+    std::vector<std::pair<size_t, size_t>> spans;
+    auto endMember = [&](size_t end) {
+        Open& top = open.back();
+        if (top.object && top.member != kNone) {
+            while (end > top.member && json::isWhitespace(doc[end - 1]))
+                --end;
+            spans.emplace_back(top.member, end);
+        }
+        top.member = kNone;
+    };
+    bool in_string = false;
+    for (size_t i = 0; i < doc.size(); ++i) {
+        char c = doc[i];
+        if (in_string) {
+            if (c == '\\')
+                ++i;
+            else if (c == '"')
+                in_string = false;
+        } else if (c == '"') {
+            in_string = true;
+            if (!open.empty() && open.back().object &&
+                open.back().member == kNone)
+                open.back().member = i; // the key's opening quote
+        } else if (c == '{' || c == '[') {
+            open.push_back({c == '{'});
+        } else if (!open.empty() && (c == ',' || c == '}' || c == ']')) {
+            endMember(i);
+            if (c != ',')
+                open.pop_back();
+        }
+    }
+    return spans;
 }
 
 } // namespace
@@ -149,6 +201,7 @@ describe(const Mutation& m)
       case Mutation::Kind::DropQuote: name = "drop-quote"; break;
       case Mutation::Kind::SpliceByte: name = "splice-byte"; break;
       case Mutation::Kind::BlockBoundary: name = "block-boundary"; break;
+      case Mutation::Kind::DuplicateMember: name = "duplicate-member"; break;
     }
     std::string out = name;
     out += " @" + std::to_string(m.position);
@@ -165,7 +218,7 @@ StructuredMutator::applyOne(std::string& doc, std::vector<Mutation>& applied)
 {
     static constexpr char kContainers[] = "{}[]";
     static constexpr char kSplice[] = "{}[]\",:\\ x1-";
-    switch (rng_.below(5)) {
+    switch (rng_.below(6)) {
       case 0: { // Truncate
         size_t cut = rng_.below(doc.size() + 1);
         doc.resize(cut);
@@ -220,6 +273,15 @@ StructuredMutator::applyOne(std::string& doc, std::vector<Mutation>& applied)
         char b = kEdge[rng_.below(sizeof(kEdge) - 1)];
         doc[p] = b;
         applied.push_back({Mutation::Kind::BlockBoundary, p, b});
+        break;
+      }
+      case 5: { // DuplicateMember: `"k":v` becomes `"k":v,"k":v`
+        std::vector<std::pair<size_t, size_t>> spans = memberSpans(doc);
+        if (spans.empty())
+            break;
+        auto [begin, end] = spans[rng_.below(spans.size())];
+        doc.insert(end, "," + doc.substr(begin, end - begin));
+        applied.push_back({Mutation::Kind::DuplicateMember, end, '\0'});
         break;
       }
     }

@@ -9,8 +9,11 @@
  * boundary.  The mutator therefore applies a small set of structure-
  * aware edits, several of which deliberately target bytes at block
  * offsets 62..65 so that carry and tail-padding logic is hit every
- * run.  Everything is driven by the repo's seedable Rng, so a failing
- * mutant is reproducible from (seed, iteration) alone.
+ * run.  One edit repeats a whole object member right after itself, so
+ * valid mutants carry duplicate names and every engine is held to the
+ * first-occurrence binding of DESIGN.md §13.  Everything is driven by
+ * the repo's seedable Rng, so a failing mutant is reproducible from
+ * (seed, iteration) alone.
  */
 #ifndef JSONSKI_TESTING_MUTATOR_H
 #define JSONSKI_TESTING_MUTATOR_H
@@ -28,11 +31,12 @@ namespace jsonski::testing {
 struct Mutation
 {
     enum class Kind {
-        Truncate,      ///< cut the document at a random byte
-        FlipContainer, ///< replace a byte with one of {}[]
-        DropQuote,     ///< delete one '"' byte
-        SpliceByte,    ///< insert/overwrite one structural-ish byte
-        BlockBoundary, ///< targeted edit at a block offset 62..65
+        Truncate,        ///< cut the document at a random byte
+        FlipContainer,   ///< replace a byte with one of {}[]
+        DropQuote,       ///< delete one '"' byte
+        SpliceByte,      ///< insert/overwrite one structural-ish byte
+        BlockBoundary,   ///< targeted edit at a block offset 62..65
+        DuplicateMember, ///< repeat a whole `"key":value` member
     };
 
     Kind kind;

@@ -21,6 +21,7 @@ constexpr size_t kHeader = 2 * sizeof(std::max_align_t);
 void
 add(size_t n)
 {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
     size_t cur =
         g_current.fetch_add(n, std::memory_order_relaxed) + n;
     size_t peak = g_peak.load(std::memory_order_relaxed);

@@ -21,11 +21,21 @@ extern std::atomic<size_t> g_current;
 /** High-water mark of g_current since the last resetPeak(). */
 extern std::atomic<size_t> g_peak;
 
+/** Allocations made through the hooked operators, ever. */
+extern std::atomic<size_t> g_allocations;
+
 /** Current live heap bytes. */
 inline size_t current() { return g_current.load(std::memory_order_relaxed); }
 
 /** Peak live heap bytes since the last resetPeak(). */
 inline size_t peak() { return g_peak.load(std::memory_order_relaxed); }
+
+/** Allocation calls so far (a count, not bytes). */
+inline size_t
+allocations()
+{
+    return g_allocations.load(std::memory_order_relaxed);
+}
 
 /** Reset the peak tracker to the current live size. */
 inline void

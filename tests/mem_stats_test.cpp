@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
+
+#include "gen/datasets.h"
+#include "path/queryset.h"
+#include "ski/multi.h"
 
 namespace mem = jsonski::mem;
 
@@ -76,3 +81,32 @@ TEST(MemStats, BalancedAllocFree)
     }
     EXPECT_EQ(mem::current(), before);
 }
+
+TEST(MemStats, MultiQueryPassAllocationsDoNotGrowWithTheDocument)
+{
+    REQUIRE_HOOKS();
+    // The 100-query shared-prefix shape of bench_multiquery: a pass
+    // allocates its result and its scratch once, never per visited
+    // object, array or member.
+    std::vector<std::string> texts = {"$.pd[*].name", "$.pd[*].price",
+                                      "$.pd[*].cp[1:3].id",
+                                      "$.pd[*].vc[*].cha"};
+    while (texts.size() < 100)
+        texts.push_back("$.pd[*].f" + std::to_string(texts.size()));
+    jsonski::ski::MultiStreamer ms(
+        jsonski::path::QuerySet::fromTexts(texts));
+    std::string small =
+        jsonski::gen::generateLarge(jsonski::gen::DatasetId::BB, 64 << 10);
+    std::string big =
+        jsonski::gen::generateLarge(jsonski::gen::DatasetId::BB, 1 << 20);
+
+    auto allocationsOf = [&](const std::string& doc) {
+        size_t before = mem::allocations();
+        auto r = ms.run(doc);
+        EXPECT_GT(r.matches[0], 0u);
+        return mem::allocations() - before;
+    };
+    allocationsOf(small); // first-use statics (kernel choice, telemetry)
+    EXPECT_EQ(allocationsOf(small), allocationsOf(big));
+}
+

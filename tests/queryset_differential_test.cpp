@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/dom/query.h"
 #include "intervals/chunk_source.h"
 #include "kernels/kernel.h"
 #include "path/matches.h"
@@ -322,3 +323,139 @@ TEST(QuerySetDifferential, PerQueryStatsAttributeSuffixWork)
     // Whole-pass stats include the replay work.
     EXPECT_GE(r.stats.total(), r.per_query[filter_id].total());
 }
+
+namespace {
+
+/** Whole buffer, then chunk seams around one 64-byte block. */
+const std::vector<size_t> kBlockChunks = {0, 1, 63, 64, 65};
+
+/**
+ * checkSet() at every kBlockChunks size, plus the batched whole-buffer
+ * values against the DOM oracle per distinct query.
+ */
+void
+checkSetAndDom(const std::string& doc,
+               const std::vector<std::string>& set_texts,
+               const std::string& label)
+{
+    for (size_t chunk : kBlockChunks)
+        checkSet(doc, set_texts, chunk, label);
+    SCOPED_TRACE(label + " vs DOM");
+    ski::MultiStreamer ms(path::QuerySet::fromTexts(set_texts));
+    Outcome batched = runBatched(doc, ms, 0);
+    ASSERT_FALSE(batched.threw);
+    for (size_t qi = 0; qi < ms.queryCount(); ++qi) {
+        path::CollectSink dom_sink;
+        dom::parseAndQuery(doc, ms.queries()[qi], &dom_sink);
+        EXPECT_EQ(batched.values[qi], dom_sink.values)
+            << "query " << ms.querySet().canonical[qi];
+    }
+}
+
+/** `{"<prefix><i>": <value>, ...}` body for keys @p first..@p last. */
+std::string
+members(const std::string& prefix, size_t first, size_t last)
+{
+    std::string out;
+    for (size_t i = first; i <= last; ++i) {
+        if (!out.empty())
+            out += ',';
+        std::string v = std::to_string(i);
+        const std::string values[] = {v, "{\"z\":" + v + "}",
+                                      "[" + v + ",0,1]", "\"s" + v + "\""};
+        out += "\"" + prefix + v + "\":" + values[i % 4];
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(QuerySetDifferential, DuplicateMemberNamesBindFirstOccurrence)
+{
+    // Keys bind on their first occurrence (DESIGN.md §13): a later
+    // member with the same name is invisible, and it must not use up
+    // the generalized G4 countdown of the names still unseen.
+    struct Dup
+    {
+        const char* doc;
+        std::vector<std::string> set;
+    };
+    const std::vector<Dup> dups = {
+        {R"({"a":1,"a":2,"b":3})", {"$.a", "$.b"}},
+        {R"([{"a":1,"a":2,"b":3},{"b":4,"a":5,"b":6}])",
+         {"$[0].a", "$[*].b"}},
+        {R"({"u":{"x":1,"y":2,"x":3},"u":{"x":4},"v":[1,2]})",
+         {"$.u.x", "$.u.y", "$.v[1]"}},
+        {R"({"p":[{"k":{"m":1},"k":{"m":2}},{"k":{"m":3}}],"p":[]})",
+         {"$.p[*].k.m", "$.p[0].k"}},
+        {R"({"a":{"id":1},"b":[{"v":1},{"v":2}],"a":{"id":2},)"
+         R"("b":[{"v":3}],"c":0})",
+         {"$.a.id", "$.a..id", "$.b[?(@.v>1)]", "$.c"}},
+        {R"({"r":[[{"q":1,"q":2}],[{"w":3},{"q":4,"w":5,"w":6}]]})",
+         {"$.r[*][*].q", "$.r[1][*].w", "$.r[0][0]"}},
+    };
+    for (const Dup& d : dups)
+        checkSetAndDom(d.doc, d.set, std::string("dup ") + d.doc);
+
+    // Duplicates of different types: each query binds the first member
+    // its next step can use, which is what the solo engine's G1 type
+    // filter shows it (the DOM binds the very first member, so only
+    // the solo side is the reference here).
+    const std::vector<Dup> typed = {
+        {R"({"x":1,"x":{"y":2},"x":[3]})", {"$.x", "$.x.y", "$.x[0]"}},
+        {R"({"x":{"y":1},"x":[2],"x":{"y":3}})", {"$.x.y", "$.x[*]"}},
+        {R"({"x":"s","x":[{"v":2}],"x":3})",
+         {"$.x[?(@.v)]", "$.x..v", "$.x"}},
+    };
+    for (const Dup& d : typed)
+        for (size_t chunk : kBlockChunks)
+            checkSet(d.doc, d.set, chunk, std::string("typed dup ") + d.doc);
+}
+
+TEST(QuerySetDifferential, WideSiblingKeySets)
+{
+    // 100 and 1000 sibling keys under one prefix: names that differ
+    // only in length (f1/f10/f100) or in the last byte, an escaped
+    // name and the empty name, against records holding a scattered
+    // subset of them plus near misses.
+    for (size_t n : {size_t{100}, size_t{1000}}) {
+        std::vector<std::string> set;
+        for (size_t i = 1; i <= n; ++i)
+            set.push_back("$.p[*].f" + std::to_string(i));
+        set.push_back("$.p[*].f1.z");
+        set.push_back("$.p[*].f10[1:3]");
+        set.push_back("$.p[*]['']");
+        set.push_back("$.p[*]['e\\\"q']");
+        set.push_back("$.p[*]['e\\\\q']");
+        std::string doc = "{\"p\":[{" + members("f", 1, 12) +
+                          ",\"\":0,\"e\\\"q\":1,\"e\\\\q\":2,\"f\":3,"
+                          "\"f1x\":4,\"g1\":5},{" +
+                          members("f", 95, 105) + "},{" +
+                          members("f", n - 3, n + 3) + ",\"f10\":7},{}," +
+                          "[1],3]}";
+        checkSetAndDom(doc, set, "wide N=" + std::to_string(n));
+    }
+}
+
+TEST(QuerySetDifferential, OverlappingRangesReachObjectAndArrayDispatch)
+{
+    // Overlapping index ranges make node sets of two and more trie
+    // nodes, some stepping attributes, some elements, some accepting.
+    const std::string doc =
+        R"({"m":[{"a":1,"b":2},[10,11,12],{"a":3,"b":4},[20,21,[22]],)"
+        R"({"b":6},[30],7,{"a":{"b":8}}],)"
+        R"("n":[[1,2,3,4,5],[6,7],[[1,2,3],4,5,6],[],[8,9,10,11]]})";
+    const std::vector<std::vector<std::string>> sets = {
+        {"$.m[0].a", "$.m[*].b", "$.m[1:3]", "$.m[2:4][0]", "$.m[*][1]",
+         "$.m[0]"},
+        {"$.m[*].a.b", "$.m[2:4].a", "$.m[1:3][2]", "$.m[*][*]",
+         "$.m[2:4]"},
+        {"$.n[*][*][2:4]", "$.n[*][0]"},
+        {"$.n[0]", "$.n[*][1:3]", "$.n[1:3][0]", "$.n[2:4][*][0]",
+         "$.n[2:4][0][2]"},
+        {"$.m[0].a", "$.m[*].b", "$.n[1:3][1]", "$.n[*][0][1]"},
+    };
+    for (const auto& set : sets)
+        checkSetAndDom(doc, set, "ranges " + set.front());
+}
+
