@@ -98,7 +98,7 @@ BM_OverElemsBatched(benchmark::State& state)
         intervals::StreamCursor cur(body);
         Skipper skip(cur);
         size_t idx = 0;
-        skip.overElems(100000, idx, Group::G5);
+        skip.toElem(Skipper::ElemKind::None, idx, 100000, Group::G5);
         benchmark::DoNotOptimize(idx);
     }
     state.SetBytesProcessed(
@@ -116,7 +116,7 @@ BM_OverElemsPerElement(benchmark::State& state)
         Skipper skip(cur);
         skip.setBatchPrimitives(false);
         size_t idx = 0;
-        skip.overElems(100000, idx, Group::G5);
+        skip.toElem(Skipper::ElemKind::None, idx, 100000, Group::G5);
         benchmark::DoNotOptimize(idx);
     }
     state.SetBytesProcessed(

@@ -63,7 +63,9 @@ url(Rng& rng)
 std::string
 timestamp(Rng& rng)
 {
-    char buf[32];
+    // Room for any six ints, so no truncation is possible whatever
+    // range the compiler assumes for them (-Wformat-truncation at -O0).
+    char buf[80];
     std::snprintf(buf, sizeof(buf), "20%02d-%02d-%02dT%02d:%02d:%02dZ",
                   static_cast<int>(rng.below(27)),
                   static_cast<int>(rng.below(12)) + 1,

@@ -190,7 +190,10 @@ MultiStreamer::compile(const std::vector<int>& nodes, NodeSets& sets) const
             }
             std::sort(covering.begin(), covering.end());
             uint8_t wants = wantsOf(covering);
-            char open = wants == kObject ? '{' : wants == kArray ? '[' : '\0';
+            using Kind = Skipper::ElemKind;
+            Kind open = wants == kObject  ? Kind::Object
+                        : wants == kArray ? Kind::Array
+                                          : Kind::None;
             rec.segments.push_back(
                 {cuts[i + 1], name(std::move(covering), sets), open});
         }
@@ -440,7 +443,10 @@ class MultiDriver : public PassShell
             runObject(rec);
         } else if (c == '[' && rec.wantsArray()) {
             cur_.advance(1);
-            runArray(rec);
+            walkArray(rec.segments.data(), [&](const Segment& seg, size_t) {
+                runValue(at(seg.next));
+                skip_.setTraceState(rec.trace);
+            });
         } else if (top && !emits && !replays) {
             return; // root type mismatch: no live query can match
         } else {
@@ -526,57 +532,6 @@ class MultiDriver : public PassShell
                 bound_top_ = base;
                 return;
             }
-        }
-    }
-
-    /** Entry: position just past '['.  Exit: just past the ']'. */
-    void
-    runArray(const Record& rec)
-    {
-        size_t idx = 0;
-        const MultiStreamer::Segment* seg = rec.segments.data();
-        for (;;) {
-            while (idx >= seg->hi)
-                ++seg;
-            if (seg->next == MultiStreamer::kNoState) {
-                if (seg->hi == SIZE_MAX) {
-                    // G5: every range is exhausted.
-                    skip_.toAryEnd(Group::G5);
-                    return;
-                }
-                // G5: a gap below or between ranges.
-                if (skip_.overElems(seg->hi - idx, idx, Group::G5) ==
-                    Skipper::ElemStop::End)
-                    return;
-                continue;
-            }
-            if (seg->open != '\0') {
-                // G1: every node covering this segment wants one
-                // container type; the budget stops at the segment's
-                // end, where coverage changes.
-                if (skip_.toTypedElem(seg->open, idx, seg->hi, Group::G1) ==
-                    Skipper::ElemStop::End)
-                    return;
-                if (idx >= seg->hi)
-                    continue;
-            } else if (cur_.skipWhitespace() == ']') {
-                cur_.advance(1);
-                return;
-            }
-            runValue(at(seg->next));
-            skip_.setTraceState(rec.trace);
-            char c = cur_.skipWhitespace();
-            if (c == ',') {
-                cur_.advance(1);
-                ++idx;
-                continue;
-            }
-            if (c == ']') {
-                cur_.advance(1);
-                return;
-            }
-            throw ParseError(ErrorCode::ExpectedPunctuation,
-                             "expected ',' or ']'", cur_.pos());
         }
     }
 

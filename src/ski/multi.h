@@ -46,6 +46,7 @@
 #include "intervals/cursor.h"
 #include "path/ast.h"
 #include "path/queryset.h"
+#include "ski/pass.h"
 #include "ski/stats.h"
 #include "ski/streamer.h"
 
@@ -200,8 +201,8 @@ class MultiStreamer
      * A driver state: trie node n (n >= 0), or the node set named ~n
      * (n < 0, see NodeSets); kNoState where no node is active.
      */
-    using StateRef = int;
-    static constexpr StateRef kNoState = INT32_MIN;
+    using StateRef = int; ///< also a Segment's `next`
+    static constexpr StateRef kNoState = Segment::kNone;
 
     /**
      * Sorted node lists of two or more nodes, named by dense ids.  The
@@ -249,21 +250,6 @@ class MultiStreamer
     {
         StateRef next;
         uint8_t wants;
-    };
-
-    /**
-     * Array positions from the previous segment's `hi` (0 for the
-     * first) up to `hi`, all covered by the same state.  The last
-     * segment ends at SIZE_MAX; kNoState there means the ranges are
-     * exhausted, elsewhere a gap between ranges.  @c open is the
-     * container type every query of the covering state needs (G1
-     * element batching), or 0.
-     */
-    struct Segment
-    {
-        size_t hi;
-        StateRef next;
-        char open;
     };
 
     /** Dispatch record of one state, compiled once (DESIGN.md §15). */

@@ -1,11 +1,9 @@
 #include "ski/parallel.h"
 
-#include <atomic>
+#include <exception>
 #include <optional>
 
-#include "intervals/cursor.h"
-#include "json/text.h"
-#include "ski/skipper.h"
+#include "ski/pass.h"
 #include "ski/streamer.h"
 #include "telemetry/telemetry.h"
 #include "util/error.h"
@@ -51,6 +49,123 @@ firstArrayStep(const PathQuery& q)
     return std::string_view::npos;
 }
 
+/**
+ * Phases 0 and 1 over the resident record: walk the key prefix to the
+ * split array binding members as the serial driver does, G4 past the
+ * rest, then record the span of every element of the split array the
+ * serial walk hands to its next step.  The linear Driver binds the
+ * first member of each name whose value type the next step needs and
+ * crosses elements with the G1 typed scan; NfaDriver (interior
+ * descendants) binds the first member of the name and stops at every
+ * element.  Errors raised here surface only after the workers ran (see
+ * ParallelStreamer::run()).
+ */
+class Splitter : public PassShell
+{
+  public:
+    Splitter(const PathQuery& q, size_t split, std::string_view json)
+        : PassShell({.bytes = json}, nullptr),
+          q_(q),
+          split_(split),
+          typed_(!q.hasInteriorDescendant())
+    {}
+
+    void
+    run()
+    {
+        char c = cur_.skipWhitespace();
+        if (c == '\0')
+            throw ParseError(ErrorCode::UnexpectedEnd, "empty input", 0);
+        if (c != (split_ == 0 ? '[' : '{')) {
+            // Root type mismatch: no match possible.  NfaDriver still
+            // reads the value.
+            if (!typed_)
+                skip_.overValue(Group::G2);
+            return;
+        }
+        cur_.advance(1);
+        if (split_ == 0)
+            array();
+        else
+            object(0);
+    }
+
+    /**
+     * Run @p body over the span of element @p i, rethrowing its
+     * ParseErrors at record positions.  Safe from any thread.
+     */
+    template <class Body>
+    void
+    replay(size_t i, Body&& body) const
+    {
+        replayHeld(cur_, spans[i].first, spans[i].second,
+                   "in split array element", body);
+    }
+
+    /** Element spans; the last one runs to the end of input when its
+     *  skip failed, so a worker reproduces the serial error inside it. */
+    std::vector<std::pair<size_t, size_t>> spans;
+
+  private:
+    /** Entry: position just past '{'.  Exit: just past the '}'. */
+    void
+    object(size_t s)
+    {
+        char want = s + 1 == split_ ? '[' : '{';
+        Skipper::TypeFilter filter = !typed_ ? Skipper::TypeFilter::Any
+                                     : want == '['
+                                         ? Skipper::TypeFilter::Array
+                                         : Skipper::TypeFilter::Object;
+        for (;;) {
+            Skipper::AttrResult attr = skip_.toAttr(filter, Group::G1);
+            if (!attr.found)
+                return;
+            if (cur_.slice(attr.key_begin, attr.key_end) != q_[s].key) {
+                skip_.overValue(Group::G2);
+                continue;
+            }
+            if (cur_.current() != want) {
+                skip_.overValue(Group::G2); // untyped: cannot match
+            } else {
+                cur_.advance(1);
+                if (s + 1 == split_)
+                    array();
+                else
+                    object(s + 1);
+            }
+            skip_.toObjEnd(Group::G4);
+            return;
+        }
+    }
+
+    /** Entry: position just past '['.  Exit: just past the ']'. */
+    void
+    array()
+    {
+        const PathStep& st = q_[split_];
+        bool last = split_ + 1 == q_.size();
+        Skipper::ElemKind open =
+            !typed_ || last ||
+                    q_[split_ + 1].kind == PathStep::Kind::Descendant
+                ? Skipper::ElemKind::None
+            : q_[split_ + 1].isArrayStep() ? Skipper::ElemKind::Array
+                                           : Skipper::ElemKind::Object;
+        Segment segs[3];
+        walkArray(rangeSegments(segs, st.lo, st.hi, 0, open),
+                  [&](const Segment&, size_t) {
+                      size_t begin = cur_.pos();
+                      spans.emplace_back(begin, cur_.size());
+                      skip_.overValue(Group::G1);
+                      spans.back().second =
+                          trimmedEnd(cur_, begin, cur_.pos());
+                  });
+    }
+
+    const PathQuery& q_;
+    size_t split_;
+    bool typed_; ///< the serial pass runs the linear Driver
+};
+
 } // namespace
 
 bool
@@ -74,72 +189,21 @@ ParallelStreamer::run(std::string_view json, ThreadPool& pool,
         return serial.runResident(json, sink).matches;
     }
 
-    // --- Phase 0 (serial): walk the key prefix to the split array. ---
-    intervals::StreamCursor cur(json);
-    Skipper skip(cur, nullptr);
-    char c = cur.skipWhitespace();
-    if (c == '\0')
-        throw ParseError(ErrorCode::UnexpectedEnd, "empty input", 0);
-    for (size_t s = 0; s < split; ++s) {
-        if (c != '{')
-            return 0; // type mismatch on the prefix: no matches
-        cur.advance(1);
-        const std::string& want = query_[s].key;
-        bool found = false;
-        for (;;) {
-            Skipper::AttrResult attr =
-                skip.toAttr(Skipper::TypeFilter::Any, Group::G1);
-            if (!attr.found)
-                break;
-            if (cur.slice(attr.key_begin, attr.key_end) == want) {
-                found = true;
-                break;
-            }
-            skip.overValue(Group::G2);
-        }
-        if (!found)
-            return 0;
-        c = cur.skipWhitespace();
+    // --- Phases 0 and 1 (serial, bit-parallel): split element spans.
+    // A failure here is reported after the workers ran: an element
+    // before it may fail first, as it would in the serial pass. ---
+    Splitter splitter(query_, split, json);
+    std::exception_ptr late;
+    try {
+        splitter.run();
+    } catch (const ParseError&) {
+        late = std::current_exception();
     }
-    if (c != '[')
-        return 0; // the value at the split position is not an array
-
-    // --- Phase 1 (serial, bit-parallel): split element spans. ---
-    const PathStep& astep = query_[split];
+    const auto& spans = splitter.spans;
     PathQuery remaining;
     remaining.steps.assign(query_.steps.begin() +
                                static_cast<long>(split) + 1,
                            query_.steps.end());
-
-    std::vector<std::pair<size_t, size_t>> spans;
-    cur.advance(1);
-    size_t idx = 0;
-    c = cur.skipWhitespace();
-    if (c != ']') {
-        if (astep.lo > 0 &&
-            skip.overElems(astep.lo, idx, Group::G5) ==
-                Skipper::ElemStop::End) {
-            idx = astep.hi; // array exhausted below the range
-        }
-        while (idx < astep.hi) {
-            c = cur.skipWhitespace();
-            if (c == ']')
-                break;
-            size_t begin = cur.pos();
-            skip.overValue(Group::G1);
-            size_t end = cur.pos();
-            while (end > begin && json::isWhitespace(cur.at(end - 1)))
-                --end;
-            spans.emplace_back(begin, end);
-            c = cur.skipWhitespace();
-            if (c == ',') {
-                cur.advance(1);
-                ++idx;
-                continue;
-            }
-            break; // ']' or end
-        }
-    }
 
     // --- Phase 2 (parallel): evaluate the tail query per element. ---
     std::vector<std::vector<std::string_view>> results(spans.size());
@@ -159,25 +223,28 @@ ParallelStreamer::run(std::string_view json, ThreadPool& pool,
         std::vector<telemetry::Registry> span_regs(
             parent != nullptr ? spans.size() : 0);
         Streamer tail(remaining);
+        // Rethrows the failure of the lowest failing element, which is
+        // the one the serial pass would have reached first.
         pool.parallelFor(spans.size(), [&](size_t i) {
             std::optional<telemetry::Scope> scope;
             if (parent != nullptr)
                 scope.emplace(span_regs[i]);
-            std::string_view elem = json.substr(
-                spans[i].first, spans[i].second - spans[i].first);
-            // Primitive elements cannot satisfy further steps.
-            char first = elem.empty() ? '\0' : elem.front();
-            if (first != '{' && first != '[')
-                return;
-            SpanSink local;
-            // runResident: SpanSink keeps views of `json` until the
-            // document-order merge below.
-            tail.runResident(elem, &local);
-            results[i] = std::move(local.values);
+            splitter.replay(i, [&](std::string_view elem) {
+                // Primitive elements cannot satisfy further steps.
+                if (elem.front() != '{' && elem.front() != '[')
+                    return;
+                SpanSink local;
+                // runResident: SpanSink keeps views of `json` until the
+                // document-order merge below.
+                tail.runResident(elem, &local);
+                results[i] = std::move(local.values);
+            });
         });
         for (const telemetry::Registry& r : span_regs)
             parent->merge(r);
     }
+    if (late)
+        std::rethrow_exception(late);
 
     // --- Merge in document order. ---
     size_t matches = 0;

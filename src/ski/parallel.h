@@ -42,6 +42,8 @@ class ParallelStreamer
     /**
      * Evaluate over one record using @p pool.  Matches are delivered
      * to @p sink in document order after the parallel phase joins.
+     * Malformed input raises the ParseError the serial streamer raises
+     * (same ErrorCode and position); no match reaches @p sink then.
      */
     size_t run(std::string_view json, ThreadPool& pool,
                path::MatchSink* sink = nullptr) const;

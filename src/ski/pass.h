@@ -2,9 +2,10 @@
  * @file
  * The pass shell shared by the three streaming drivers — Driver,
  * NfaDriver and MultiDriver (DESIGN.md §16): where the record comes
- * from, the cursor/skipper pair over it, container depth, consumer
- * holds, pre-order match slots and nested replays over held spans.
- * None of the traversal lives here.
+ * from, the cursor/skipper pair over it, container depth, the array
+ * walk, the filter probe, consumer holds, pre-order match slots and
+ * nested replays over held spans.  Object traversal stays in the
+ * drivers.
  */
 #ifndef JSONSKI_SKI_PASS_H
 #define JSONSKI_SKI_PASS_H
@@ -14,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "intervals/chunk_source.h"
 #include "intervals/cursor.h"
 #include "json/text.h"
+#include "path/filter.h"
 #include "path/matches.h"
 #include "ski/skipper.h"
 #include "util/error.h"
@@ -57,9 +60,60 @@ testChunkBytesOverride()
     return v;
 }
 
+/** @p end pulled back over whitespace a primitive skip crossed. */
+inline size_t
+trimmedEnd(const intervals::StreamCursor& cur, size_t start, size_t end)
+{
+    while (end > start && json::isWhitespace(cur.at(end - 1)))
+        --end;
+    return end;
+}
+
 /**
- * Cursor, skipper and container depth of one pass; the drivers derive
- * from it.  Nothing here is virtual.
+ * Array positions from the previous segment's `hi` (0 for the first)
+ * up to `hi`, all covered by the same driver state `next`.  The last
+ * segment ends at SIZE_MAX; kNone there means the ranges are
+ * exhausted, elsewhere a gap below or between them.  `open` is the one
+ * element kind the covering state can use (G1 element batching).
+ */
+struct Segment
+{
+    static constexpr int kNone = INT32_MIN;
+
+    size_t hi;
+    int next;
+    Skipper::ElemKind open;
+};
+
+/**
+ * The segments of one range [lo, hi) covered by state @p next: the gap
+ * below it, the range, its exhaustion.  @p out holds at least three.
+ */
+inline const Segment*
+rangeSegments(Segment* out, size_t lo, size_t hi, int next,
+              Skipper::ElemKind open)
+{
+    Segment* s = out;
+    if (lo > 0)
+        *s++ = {lo, Segment::kNone, Skipper::ElemKind::None};
+    *s++ = {hi, next, open};
+    if (hi != SIZE_MAX)
+        *s = {SIZE_MAX, Segment::kNone, Skipper::ElemKind::None};
+    return out;
+}
+
+/** A filter predicate's field and the value the probe found for it. */
+struct FieldProbe
+{
+    std::string_view field;
+    bool present = false;
+    size_t vs = 0, ve = 0; ///< the value; a container's first byte only
+};
+
+/**
+ * Cursor, skipper and container depth of one pass, with the traversal
+ * the drivers share; the drivers derive from it.  Nothing here is
+ * virtual.
  */
 class PassShell
 {
@@ -110,6 +164,111 @@ class PassShell
 
     static constexpr int kMaxDepth = 20000;
 
+    /**
+     * The array walk over index segments (Table 1's G1/G5 element
+     * functions).  @p body(segment, index) consumes each element that
+     * reaches it, from its first byte; the walk owns the separators.
+     * Entry: position just past '['.  Exit: just past the ']'.
+     */
+    template <class Body>
+    void
+    walkArray(const Segment* seg, Body&& body)
+    {
+        for (size_t idx = 0;;) {
+            while (idx >= seg->hi)
+                ++seg;
+            if (seg->next == Segment::kNone) {
+                if (seg->hi == SIZE_MAX) {
+                    // G5: every range is exhausted.
+                    skip_.toAryEnd(Group::G5);
+                    return;
+                }
+                // G5: a gap below or between ranges.
+                if (skip_.toElem(Skipper::ElemKind::None, idx, seg->hi,
+                                 Group::G5) == Skipper::ElemStop::End)
+                    return;
+                continue;
+            }
+            if (seg->open != Skipper::ElemKind::None) {
+                // G1: only elements of the open kind can be used; the
+                // budget stops at the segment's end, where coverage
+                // changes.
+                if (skip_.toElem(seg->open, idx, seg->hi, Group::G1) ==
+                    Skipper::ElemStop::End)
+                    return;
+                if (idx >= seg->hi)
+                    continue;
+            } else if (cur_.skipWhitespace() == ']') {
+                cur_.advance(1);
+                return;
+            }
+            body(*seg, idx);
+            char c = cur_.skipWhitespace();
+            if (c == ',') {
+                cur_.advance(1);
+                ++idx;
+                continue;
+            }
+            if (c == ']') {
+                cur_.advance(1);
+                return;
+            }
+            throw ParseError(ErrorCode::ExpectedPunctuation,
+                             "expected ',' or ']'", cur_.pos());
+        }
+    }
+
+    /**
+     * The filter probe (DESIGN.md §13): scan a candidate's members once
+     * for the distinct fields of @p probes.  The first member with each
+     * name wins and every other value is G2-skipped; a scalar field's
+     * lexeme is scan work (G1), a container field keeps its first byte
+     * (all the operator dispatch needs) and is G2-skipped.  Entry: just
+     * past '{'.  @return true when the scan reached and consumed the
+     * '}' before finding every field.
+     */
+    bool
+    probeFields(std::span<FieldProbe> probes)
+    {
+        size_t remaining = probes.size();
+        for (;;) {
+            Skipper::AttrResult attr =
+                skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
+            if (!attr.found)
+                return true;
+            std::string_view key = cur_.slice(attr.key_begin, attr.key_end);
+            auto hit = std::find_if(
+                probes.begin(), probes.end(), [&](const FieldProbe& p) {
+                    return !p.present && p.field == key;
+                });
+            if (hit == probes.end()) {
+                skip_.overValue(Group::G2);
+                continue;
+            }
+            hit->present = true;
+            hit->vs = cur_.pos();
+            char c = cur_.current();
+            if (c == '{' || c == '[') {
+                hit->ve = hit->vs + 1;
+                skip_.overValue(Group::G2);
+            } else {
+                skip_.overPrimitive(Group::G1);
+                hit->ve = trimmedEnd(cur_, hit->vs, cur_.pos());
+            }
+            if (--remaining == 0)
+                return false;
+        }
+    }
+
+    /** Filter step @p st's verdict on what the probe @p p found. */
+    bool
+    verdict(const path::PathStep& st, const FieldProbe& p) const
+    {
+        return p.present
+                   ? path::evalPredicate(st, true, cur_.slice(p.vs, p.ve))
+                   : path::evalPredicate(st, false, {});
+    }
+
     intervals::ViewSource rerouted_; ///< feeds a rerouted cursor only
     intervals::StreamCursor cur_;
     Skipper skip_;
@@ -131,15 +290,6 @@ class PassShell
         return intervals::StreamCursor(in.bytes);
     }
 };
-
-/** @p end pulled back over whitespace a primitive skip crossed. */
-inline size_t
-trimmedEnd(const intervals::StreamCursor& cur, size_t start, size_t end)
-{
-    while (end > start && json::isWhitespace(cur.at(end - 1)))
-        --end;
-    return end;
-}
 
 /**
  * Keeps the bytes from @p start resident (the consumer hold) until the

@@ -361,9 +361,9 @@ Skipper::keyBefore(size_t value_pos) const
 }
 
 Skipper::ElemStop
-Skipper::toTypedElem(char open_char, size_t& idx, size_t limit, Group g)
+Skipper::toElem(ElemKind stop_at, size_t& idx, size_t limit, Group g)
 {
-    assert(open_char == '{' || open_char == '[');
+    const auto stops = static_cast<unsigned>(stop_at);
     for (;;) {
         if (idx >= limit) {
             cur_.clearScanHold();
@@ -378,11 +378,12 @@ Skipper::toTypedElem(char open_char, size_t& idx, size_t limit, Group g)
         if (c == '\0')
             throw ParseError(ErrorCode::UnterminatedArray,
                              "unterminated array", cur_.pos());
-        if (c == open_char) {
+        if ((c == '{' && (stops & 1)) || (c == '[' && (stops & 2))) {
             cur_.clearScanHold();
             return ElemStop::Found;
         }
-        if (c == '{' || c == '[' || !batch_primitives_) {
+        if (c == '{' || c == '[' ||
+            (!batch_primitives_ && stop_at != ElemKind::Container)) {
             // Wrong-typed element (or per-element ablation mode): skip
             // it whole, then its separator.  Any scan hold left by a
             // batched run would pin the window open across the whole
@@ -418,88 +419,6 @@ Skipper::toTypedElem(char open_char, size_t& idx, size_t limit, Group g)
             return ElemStop::End;
         }
         // SepBudget / OpenBrace / OpenBracket: loop re-examines.
-    }
-}
-
-Skipper::ElemStop
-Skipper::toContainerElem(Group g)
-{
-    for (;;) {
-        char c = cur_.skipWhitespace();
-        if (c == ']') {
-            cur_.advance(1);
-            cur_.clearScanHold();
-            return ElemStop::End;
-        }
-        if (c == '\0')
-            throw ParseError(ErrorCode::UnterminatedArray,
-                             "unterminated array", cur_.pos());
-        if (c == '{' || c == '[') {
-            cur_.clearScanHold();
-            return ElemStop::Found;
-        }
-        size_t seps = 0;
-        RunStop stop =
-            scanPrimitives(/*closer_is_brace=*/false, SIZE_MAX, seps, g);
-        if (stop == RunStop::Closer) {
-            cur_.advance(1);
-            cur_.clearScanHold();
-            return ElemStop::End;
-        }
-        // OpenBrace / OpenBracket: re-examined at the loop top.
-    }
-}
-
-Skipper::ElemStop
-Skipper::overElems(size_t count, size_t& idx, Group g)
-{
-    size_t target = idx + count;
-    for (;;) {
-        if (idx >= target) {
-            cur_.clearScanHold();
-            return ElemStop::Found;
-        }
-        char c = cur_.skipWhitespace();
-        if (c == ']') {
-            cur_.advance(1);
-            cur_.clearScanHold();
-            return ElemStop::End;
-        }
-        if (c == '\0')
-            throw ParseError(ErrorCode::UnterminatedArray,
-                             "unterminated array", cur_.pos());
-        if (c == '{' || c == '[' || !batch_primitives_) {
-            cur_.clearScanHold();
-            if (c == '{')
-                overObj(g);
-            else if (c == '[')
-                overAry(g);
-            else
-                overPrimitive(g);
-            c = cur_.skipWhitespace();
-            if (c == ',') {
-                cur_.advance(1);
-                ++idx;
-                continue;
-            }
-            if (c == ']') {
-                cur_.advance(1);
-                return ElemStop::End;
-            }
-            throw ParseError(ErrorCode::ExpectedPunctuation,
-                             "expected ',' or ']'", cur_.pos());
-        }
-        size_t seps = 0;
-        RunStop stop =
-            scanPrimitives(/*closer_is_brace=*/false, target - idx, seps, g);
-        idx += seps;
-        if (stop == RunStop::Closer) {
-            cur_.advance(1);
-            cur_.clearScanHold();
-            return ElemStop::End;
-        }
-        // SepBudget: pos is at the next element; loop exits at the top.
-        // OpenBrace/OpenBracket: container element; handled next round.
     }
 }
 

@@ -150,34 +150,29 @@ class Skipper
     AttrResult toAttr(TypeFilter filter, Group g);
 
     /// @}
-    /// @name Element scans (G1/G5)
+    /// @name Element scan (G1/G5)
     /// @{
 
+    /** Elements that stop the element scan: bit 0 '{', bit 1 '['. */
+    enum class ElemKind : uint8_t {
+        None = 0,      ///< none: goOverElems(K), the G5 count
+        Object = 1,    ///< goToObjElem()
+        Array = 2,     ///< goToAryElem()
+        Container = 3, ///< either: descendant traversal, types unknown
+    };
+
     /**
-     * goToObjElem()/goToAryElem() with an element budget: skip elements
-     * until one starts with @p open_char or @p idx reaches @p limit.
-     * @p idx is advanced by the number of elements skipped.
+     * goToObjElem()/goToAryElem()/goOverElems(K) as one scan: skip
+     * elements until one of kind @p stop_at starts or @p idx reaches
+     * @p limit; @p idx is advanced by the number of elements skipped.
+     * Containers of other kinds are skipped whole.  Primitive runs are
+     * batch-skipped (Algorithm 5) — for Container always, for the other
+     * kinds unless batching is off (then one element at a time).
      *
      * Entry/exit position: element start.  Returns End when the array
      * closed first (position past ']').
      */
-    ElemStop toTypedElem(char open_char, size_t& idx, size_t limit,
-                         Group g);
-
-    /**
-     * goOverElems(K): skip exactly @p count elements (fewer if the
-     * array ends), advancing @p idx per element.  Exit position: start
-     * of the following element, or past ']' on End.
-     */
-    ElemStop overElems(size_t count, size_t& idx, Group g);
-
-    /**
-     * Skip primitive elements (and their separators) until the next
-     * container element of either type, used by descendant traversal
-     * where element types cannot be inferred.  Exit: at '{' or '['
-     * (Found), or just past ']' (End).
-     */
-    ElemStop toContainerElem(Group g);
+    ElemStop toElem(ElemKind stop_at, size_t& idx, size_t limit, Group g);
 
     /// @}
 

@@ -45,13 +45,8 @@ class Driver : public PassShell
             return;
         }
         if (q_[0].kind == PathStep::Kind::Descendant) {
-            if (c == '{') {
-                cur_.advance(1);
-                runDescObject();
-            } else if (c == '[') {
-                cur_.advance(1);
-                runDescArray();
-            }
+            if (c == '{' || c == '[')
+                descend();
         } else if (q_[0].isArrayStep()) {
             if (c != '[')
                 return; // root type mismatch: no match possible
@@ -112,16 +107,7 @@ class Driver : public PassShell
             if (accept_child) {
                 emitValue(); // G3
             } else if (desc_child) {
-                char c = cur_.current();
-                if (c == '{') {
-                    cur_.advance(1);
-                    runDescObject();
-                } else if (c == '[') {
-                    cur_.advance(1);
-                    runDescArray();
-                } else {
-                    skip_.overValue(Group::G2); // primitives: no match
-                }
+                descend();
             } else {
                 char want = q_[state + 1].isArrayStep() ? '[' : '{';
                 if (cur_.current() != want) {
@@ -147,150 +133,72 @@ class Driver : public PassShell
 
     /**
      * Process an array whose elements are matched against step
-     * @p state.  Entry: position just past '['.  Exit: just past ']'.
+     * @p state: an index range, a filter (DESIGN.md §13: only object
+     * elements can carry the predicate field, so the rest are G1
+     * type-skips), or the terminal `..name` search (only containers can
+     * hold a match).  Entry: position just past '['.  Exit: just past
+     * ']'.
      */
     void
     runArray(size_t state)
     {
-        if (q_[state].kind == PathStep::Kind::Filter) {
-            runFilterArray(state);
-            return;
-        }
         DepthScope depth(*this);
         skip_.setTraceState(static_cast<uint16_t>(state));
         const PathStep& st = q_[state];
+        using Kind = Skipper::ElemKind;
+        Segment segs[3];
+        if (st.kind == PathStep::Kind::Descendant) {
+            walkArray(rangeSegments(segs, 0, SIZE_MAX, 0, Kind::Container),
+                      [&](const Segment&, size_t) { descend(); });
+            return;
+        }
+        if (st.kind == PathStep::Kind::Filter) {
+            walkArray(rangeSegments(segs, 0, SIZE_MAX, 0, Kind::Object),
+                      [&](const Segment&, size_t) { keepCandidate(state); });
+            return;
+        }
         bool accept_child = (state + 1 == q_.size());
-        size_t idx = 0;
-        char c = cur_.skipWhitespace();
-        if (c == ']') {
-            cur_.advance(1);
-            return;
-        }
-        // G5: skip the prefix below the range start without matching.
-        if (st.lo > 0 &&
-            skip_.overElems(st.lo, idx, Group::G5) == Skipper::ElemStop::End)
-            return;
-        for (;;) {
-            if (idx >= st.hi) {
-                // G5: the range is exhausted; nothing further can match.
-                skip_.toAryEnd(Group::G5);
-                return;
-            }
-            c = cur_.skipWhitespace();
-            if (c == ']') {
-                cur_.advance(1);
-                return;
-            }
-            if (accept_child) {
-                emitValue(); // G3: every in-range element is a match
-            } else if (q_[state + 1].kind == PathStep::Kind::Descendant) {
-                if (c == '{') {
-                    cur_.advance(1);
-                    runDescObject();
-                } else if (c == '[') {
-                    cur_.advance(1);
-                    runDescArray();
-                } else {
-                    skip_.overValue(Group::G2);
-                }
-            } else {
-                char want = q_[state + 1].isArrayStep() ? '[' : '{';
-                if (options_.type_filter) {
-                    // G1: only elements of the expected container type
-                    // can extend the match.
-                    Skipper::ElemStop stop =
-                        skip_.toTypedElem(want, idx, st.hi, Group::G1);
-                    if (stop == Skipper::ElemStop::End)
-                        return;
-                    if (idx >= st.hi)
-                        continue; // budget reached; loop skips out
+        bool desc_child =
+            !accept_child &&
+            q_[state + 1].kind == PathStep::Kind::Descendant;
+        char want = !accept_child && q_[state + 1].isArrayStep() ? '[' : '{';
+        // G1: only elements of the expected container type can extend
+        // the match.
+        Kind open = accept_child || desc_child || !options_.type_filter
+                        ? Kind::None
+                    : want == '[' ? Kind::Array
+                                  : Kind::Object;
+        walkArray(
+            rangeSegments(segs, st.lo, st.hi, 0, open),
+            [&](const Segment&, size_t) {
+                if (accept_child) {
+                    emitValue(); // G3: every in-range element is a match
+                } else if (desc_child) {
+                    descend();
                 } else if (cur_.current() != want) {
+                    // Type mismatch, only reachable with the G1 filter
+                    // disabled: the element cannot match.
                     skip_.overValue(Group::G2);
-                    c = cur_.skipWhitespace();
-                    if (c == ',') {
-                        cur_.advance(1);
-                        ++idx;
-                        continue;
-                    }
-                    if (c == ']') {
-                        cur_.advance(1);
-                        return;
-                    }
-                    throw ParseError(ErrorCode::ExpectedPunctuation,
-                             "expected ',' or ']'", cur_.pos());
+                } else {
+                    cur_.advance(1); // consume '{' or '['
+                    if (want == '{')
+                        runObject(state + 1);
+                    else
+                        runArray(state + 1);
+                    skip_.setTraceState(static_cast<uint16_t>(state));
                 }
-                cur_.advance(1); // consume '{' or '['
-                if (want == '{')
-                    runObject(state + 1);
-                else
-                    runArray(state + 1);
-                skip_.setTraceState(static_cast<uint16_t>(state));
-            }
-            c = cur_.skipWhitespace();
-            if (c == ',') {
-                cur_.advance(1);
-                ++idx;
-                continue;
-            }
-            if (c == ']') {
-                cur_.advance(1);
-                return;
-            }
-            throw ParseError(ErrorCode::ExpectedPunctuation,
-                             "expected ',' or ']'", cur_.pos());
-        }
+            });
     }
 
     /**
-     * Process an array whose elements are screened by filter step
-     * @p state (DESIGN.md §13).  Only object elements can carry the
-     * predicate field, so non-objects are G1 type-skips.  For each
-     * candidate a probe scan locates the predicate field lazily; the
-     * verdict then decides whether the rest of the candidate is kept
-     * (G3: emitted, or replayed against the suffix query) or skipped
-     * wholesale (G2) — the filter counterpart of the paper's
-     * skip-what-cannot-match discipline.
+     * One object element of a filter array at step @p state.  The probe
+     * finds the predicate field (the first member with its name wins,
+     * the duplicate-key contract); everything after the verdict is
+     * fast-forwarded to the '}' in one go — G3 when the candidate is
+     * kept, G2 when it is dropped.  A kept candidate is emitted, or the
+     * suffix query is replayed over it.
      *
-     * Entry: position just past '['.  Exit: just past ']'.
-     */
-    void
-    runFilterArray(size_t state)
-    {
-        DepthScope depth(*this);
-        skip_.setTraceState(static_cast<uint16_t>(state));
-        size_t idx = 0;
-        char c = cur_.skipWhitespace();
-        if (c == ']') {
-            cur_.advance(1);
-            return;
-        }
-        for (;;) {
-            // G1: only an object element can satisfy `@.field`.
-            if (skip_.toTypedElem('{', idx,
-                                  std::numeric_limits<size_t>::max(),
-                                  Group::G1) == Skipper::ElemStop::End)
-                return;
-            keepCandidate(state);
-            c = cur_.skipWhitespace();
-            if (c == ',') {
-                cur_.advance(1);
-                ++idx;
-                continue;
-            }
-            if (c == ']') {
-                cur_.advance(1);
-                return;
-            }
-            throw ParseError(ErrorCode::ExpectedPunctuation,
-                             "expected ',' or ']'", cur_.pos());
-        }
-    }
-
-    /**
-     * One object element of a filter array at step @p state: decide
-     * its verdict and, when kept, emit it or replay the suffix query
-     * over it.  Entry: position at the element's '{'.  Exit: just past
-     * its '}'.
+     * Entry: position at the element's '{'.  Exit: just past its '}'.
      */
     void
     keepCandidate(size_t state)
@@ -300,7 +208,13 @@ class Driver : public PassShell
         // suffix replay, whatever chunk seams it crosses.
         HoldScope hold(cur_, start);
         cur_.advance(1);
-        if (!filterVerdict(q_[state]))
+        DepthScope depth(*this);
+        FieldProbe probe{q_[state].key};
+        bool closed = probeFields({&probe, 1});
+        bool kept = verdict(q_[state], probe);
+        if (!closed)
+            skip_.toObjEnd(kept ? Group::G3 : Group::G2);
+        if (!kept)
             return;
         size_t end = cur_.pos();
         if (state + 1 == q_.size()) {
@@ -309,50 +223,6 @@ class Driver : public PassShell
         } else {
             runContinuation(state + 1, start, end);
             skip_.setTraceState(static_cast<uint16_t>(state));
-        }
-    }
-
-    /**
-     * Probe one candidate object for @p st's predicate field and
-     * decide the verdict.  The first member with the field's name wins
-     * (duplicate-key contract); members before it are G2-skipped, the
-     * field's own scalar lexeme is scan work (G1), and everything
-     * after the verdict is fast-forwarded to the '}' in one go —
-     * charged G3 when the candidate is kept, G2 when it is dropped.
-     *
-     * Entry: position just past '{'.  Exit: just past the '}'.
-     */
-    bool
-    filterVerdict(const PathStep& st)
-    {
-        // The caller has consumed the candidate's '{'.
-        DepthScope depth(*this);
-        for (;;) {
-            Skipper::AttrResult attr =
-                skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
-            if (!attr.found)
-                return path::evalPredicate(st, false, {});
-            if (cur_.slice(attr.key_begin, attr.key_end) != st.key) {
-                skip_.overValue(Group::G2);
-                continue;
-            }
-            char c = cur_.current();
-            size_t vs = cur_.pos();
-            bool verdict;
-            if (c == '{' || c == '[') {
-                // Containers never satisfy a comparison; the operator
-                // dispatch needs only the first byte.
-                verdict =
-                    path::evalPredicate(st, true, cur_.slice(vs, vs + 1));
-                skip_.overValue(Group::G2);
-            } else {
-                skip_.overPrimitive(Group::G1);
-                size_t ve = trimmedEnd(cur_, vs, cur_.pos());
-                verdict =
-                    path::evalPredicate(st, true, cur_.slice(vs, ve));
-            }
-            skip_.toObjEnd(verdict ? Group::G3 : Group::G2);
-            return verdict;
         }
     }
 
@@ -412,47 +282,32 @@ class Driver : public PassShell
             char c = cur_.current();
             size_t start = cur_.pos();
             size_t slot = matched ? emit_.open(start) : 0;
-            if (c == '{' || c == '[') {
-                cur_.advance(1);
-                if (c == '{')
-                    runDescObject();
-                else
-                    runDescArray();
-            } else {
+            if (c == '{' || c == '[')
+                descend();
+            else
                 skip_.overPrimitive(matched ? Group::G3 : Group::G2);
-            }
             if (matched)
                 emit_.close(slot, trimmedEnd(cur_, start, cur_.pos()));
         }
     }
 
-    /** Entry: position just past '['.  Exit: just past the ']'. */
+    /**
+     * A value searched by the terminal `..name` step: containers are
+     * entered, primitives cannot hold a match (G2).
+     */
     void
-    runDescArray()
+    descend()
     {
-        DepthScope depth(*this);
-        for (;;) {
-            // Primitive elements cannot match a name: batch-skip them.
-            if (skip_.toContainerElem(Group::G1) == Skipper::ElemStop::End)
-                return;
-            char c = cur_.current();
-            cur_.advance(1);
-            if (c == '{')
-                runDescObject();
-            else
-                runDescArray();
-            c = cur_.skipWhitespace();
-            if (c == ',') {
-                cur_.advance(1);
-                continue;
-            }
-            if (c == ']') {
-                cur_.advance(1);
-                return;
-            }
-            throw ParseError(ErrorCode::ExpectedPunctuation,
-                             "expected ',' or ']'", cur_.pos());
+        char c = cur_.current();
+        if (c != '{' && c != '[') {
+            skip_.overValue(Group::G2);
+            return;
         }
+        cur_.advance(1);
+        if (c == '{')
+            runDescObject();
+        else
+            runArray(q_.size() - 1);
     }
 
     const PathQuery& q_;
@@ -643,61 +498,36 @@ class NfaDriver : public PassShell
         // plain index/slice step.
         bool bounded = !has_desc && !has_filter &&
                        lo_min != std::numeric_limits<size_t>::max();
-        size_t idx = 0;
-        char c = cur_.skipWhitespace();
-        if (c == ']') {
-            cur_.advance(1);
-            return;
-        }
-        if (bounded && lo_min > 0 &&
-            skip_.overElems(lo_min, idx, Group::G5) ==
-                Skipper::ElemStop::End)
-            return;
+        Segment segs[3];
         std::vector<std::pair<size_t, uint64_t>> fs;
-        for (;;) {
-            if (bounded && idx >= hi_max) {
-                skip_.toAryEnd(Group::G5);
-                return;
-            }
-            c = cur_.skipWhitespace();
-            if (c == ']') {
-                cur_.advance(1);
-                return;
-            }
-            fs.clear();
-            path::NfaSet b = path::nfaOnElement(q_, a, idx, &fs);
-            if (!fs.empty() && c == '{') {
-                elementWithFilters(b, fs);
-            } else if (b.empty()) {
-                // Gap element: outside every index range (G5), or
-                // wanted only by filters and not an object (G1).
-                skip_.overValue(fs.empty() ? Group::G5 : Group::G1);
-            } else {
-                value(b);
-            }
-            c = cur_.skipWhitespace();
-            if (c == ',') {
-                cur_.advance(1);
-                ++idx;
-                continue;
-            }
-            if (c == ']') {
-                cur_.advance(1);
-                return;
-            }
-            throw ParseError(ErrorCode::ExpectedPunctuation,
-                             "expected ',' or ']'", cur_.pos());
-        }
+        walkArray(rangeSegments(segs, bounded ? lo_min : 0,
+                                bounded ? hi_max : SIZE_MAX, 0,
+                                Skipper::ElemKind::None),
+                  [&](const Segment&, size_t idx) {
+                      fs.clear();
+                      path::NfaSet b = path::nfaOnElement(q_, a, idx, &fs);
+                      if (!fs.empty() && cur_.current() == '{') {
+                          elementWithFilters(b, fs);
+                      } else if (b.empty()) {
+                          // Gap element: outside every index range (G5),
+                          // or wanted only by filters and not an object
+                          // (G1).
+                          skip_.overValue(fs.empty() ? Group::G5
+                                                     : Group::G1);
+                      } else {
+                          value(b);
+                      }
+                  });
     }
 
     /**
      * An object element wanted by at least one filter state: probe for
-     * every distinct predicate field in a single scan, resolve the
-     * verdicts, then fast-forward the remainder — G3 when any state
-     * survives into the candidate, G2 when none does.  Survivor states
-     * (filter advances merged into @p b) replay the held candidate
-     * span through a nested NfaDriver whose matches are translated
-     * back into this driver's pending queue.
+     * every distinct predicate field in a single scan, add each passing
+     * state's advance to @p b, then fast-forward the remainder — G3 when
+     * any state survives into the candidate, G2 when none does.
+     * Survivor states replay the held candidate span through a nested
+     * NfaDriver whose matches are translated back into this driver's
+     * pending queue.
      *
      * Entry: position at the element's '{'.  Exit: just past its '}'.
      */
@@ -708,7 +538,31 @@ class NfaDriver : public PassShell
         size_t start = cur_.pos();
         size_t saved_pin = emit_.pin(start); // hold from the candidate on
         cur_.advance(1);
-        filterVerdicts(b, fs);
+        {
+            // The probe runs inside the candidate object; the depth
+            // counter must say so for the skipper's index level to match.
+            DepthScope depth(*this);
+            probes_.clear();
+            for (const auto& [s, c] : fs) {
+                (void)c;
+                std::string_view f = q_[s].key;
+                if (std::none_of(
+                        probes_.begin(), probes_.end(),
+                        [&](const FieldProbe& p) { return p.field == f; }))
+                    probes_.push_back({f});
+            }
+            bool closed = probeFields(probes_);
+            for (const auto& [s, c] : fs) {
+                const PathStep& st = q_[s];
+                auto p = std::find_if(
+                    probes_.begin(), probes_.end(),
+                    [&](const FieldProbe& pr) { return pr.field == st.key; });
+                if (verdict(st, *p))
+                    b.add(s + 1, c);
+            }
+            if (!closed)
+                skip_.toObjEnd(b.empty() ? Group::G2 : Group::G3);
+        }
         size_t end = cur_.pos();
         uint64_t acc = b.acceptCount(q_);
         if (acc > 0)
@@ -717,94 +571,6 @@ class NfaDriver : public PassShell
         if (!rest.empty())
             runInterior(rest, start, end);
         emit_.unpin(saved_pin);
-    }
-
-    /**
-     * Probe the candidate for every filter state's predicate field and
-     * add each passing state's advance to @p b.  Entry: position just
-     * past the candidate's '{'.  Exit: just past its '}'.
-     */
-    void
-    filterVerdicts(path::NfaSet& b,
-                   const std::vector<std::pair<size_t, uint64_t>>& fs)
-    {
-        // The probe scan runs inside the candidate object; the depth
-        // counter must say so for the skipper's index level to match.
-        DepthScope depth(*this);
-        struct Probe
-        {
-            const std::string* field;
-            bool present = false;
-            size_t vs = 0, ve = 0;
-        };
-        std::vector<Probe> probes;
-        for (const auto& [s, c] : fs) {
-            (void)c;
-            const std::string& f = q_[s].key;
-            bool dup = false;
-            for (const auto& p : probes) {
-                if (*p.field == f) {
-                    dup = true;
-                    break;
-                }
-            }
-            if (!dup)
-                probes.push_back({&f, false, 0, 0});
-        }
-        size_t remaining = probes.size();
-        bool consumed_whole = false;
-        for (;;) {
-            Skipper::AttrResult attr =
-                skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
-            if (!attr.found) {
-                consumed_whole = true;
-                break;
-            }
-            std::string_view key =
-                cur_.slice(attr.key_begin, attr.key_end);
-            Probe* hit = nullptr;
-            for (auto& p : probes) {
-                if (!p.present && *p.field == key) {
-                    hit = &p;
-                    break;
-                }
-            }
-            if (hit == nullptr) {
-                skip_.overValue(Group::G2);
-                continue;
-            }
-            hit->present = true;
-            hit->vs = cur_.pos();
-            char vc = cur_.current();
-            if (vc == '{' || vc == '[') {
-                hit->ve = hit->vs + 1; // operator dispatch needs 1 byte
-                skip_.overValue(Group::G2);
-            } else {
-                skip_.overPrimitive(Group::G1);
-                hit->ve = trimmedEnd(cur_, hit->vs, cur_.pos());
-            }
-            if (--remaining == 0)
-                break;
-        }
-        for (const auto& [s, c] : fs) {
-            const PathStep& st = q_[s];
-            const Probe* p = nullptr;
-            for (const auto& pr : probes) {
-                if (*pr.field == st.key) {
-                    p = &pr;
-                    break;
-                }
-            }
-            bool verdict =
-                p->present
-                    ? path::evalPredicate(st, true,
-                                          cur_.slice(p->vs, p->ve))
-                    : path::evalPredicate(st, false, {});
-            if (verdict)
-                b.add(s + 1, c);
-        }
-        if (!consumed_whole)
-            skip_.toObjEnd(b.empty() ? Group::G2 : Group::G3);
     }
 
     /**
@@ -832,6 +598,8 @@ class NfaDriver : public PassShell
     const StreamerOptions& options_;
     StreamResult& result_;
     SlotEmitter emit_; ///< every match, pre-order
+    /** Distinct predicate fields of the candidate being probed. */
+    std::vector<FieldProbe> probes_;
 };
 
 } // namespace

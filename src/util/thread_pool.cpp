@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <cassert>
+#include <exception>
 
 namespace jsonski {
 
@@ -45,17 +46,37 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& f)
 {
     if (n == 0)
         return;
-    auto counter = std::make_shared<std::atomic<size_t>>(0);
+    struct Batch
+    {
+        std::atomic<size_t> next{0};
+        std::atomic<size_t> failed; ///< lowest failing index, or n
+        std::mutex mutex;           ///< guards error
+        std::exception_ptr error;
+    };
+    auto batch = std::make_shared<Batch>();
+    batch->failed = n;
     size_t spawn = std::min(n, workers_.size());
     for (size_t t = 0; t < spawn; ++t) {
-        submit([counter, n, &f] {
-            for (size_t i = counter->fetch_add(1); i < n;
-                 i = counter->fetch_add(1)) {
-                f(i);
+        submit([batch, n, &f] {
+            for (size_t i = batch->next++; i < n; i = batch->next++) {
+                // Indices past a failure are not wanted by the caller.
+                if (i > batch->failed)
+                    continue;
+                try {
+                    f(i);
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(batch->mutex);
+                    if (i < batch->failed) {
+                        batch->failed = i;
+                        batch->error = std::current_exception();
+                    }
+                }
             }
         });
     }
     waitIdle();
+    if (batch->error)
+        std::rethrow_exception(batch->error);
 }
 
 void

@@ -48,7 +48,9 @@ class ThreadPool
     /**
      * Fork-join helper: run f(i) for i in [0, n) across the pool and
      * wait for completion.  Work is pulled dynamically from a shared
-     * counter so uneven task costs balance out.
+     * counter so uneven task costs balance out.  An exception thrown by
+     * f is rethrown here, after the join: the one of the lowest failing
+     * index (indices above it may be skipped).  The pool stays usable.
      */
     void parallelFor(size_t n, const std::function<void(size_t)>& f);
 

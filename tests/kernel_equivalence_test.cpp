@@ -289,16 +289,23 @@ scanOutcomes(const std::string& doc, size_t chunk)
             s.toAryEnd(Group::G5);
             return std::string();
         });
-        for (size_t budget : {1, 2, 3, 5, 31, 1000}) {
-            run("elems " + std::to_string(budget),
-                [budget](StreamCursor& c, Skipper& s) {
-                    c.setPos(1);
-                    size_t idx = 0;
-                    bool end = s.overElems(budget, idx, Group::G5) ==
-                               Skipper::ElemStop::End;
-                    return std::string(end ? "end" : "found") +
-                           " seps=" + std::to_string(idx);
-                });
+        // The element scan's budgets alone (G5 count), then with each
+        // typed stop (G1).
+        using Kind = Skipper::ElemKind;
+        for (Kind kind :
+             {Kind::None, Kind::Object, Kind::Array, Kind::Container}) {
+            for (size_t budget : {1, 2, 3, 5, 31, 1000}) {
+                run("elems " + std::to_string(static_cast<int>(kind)) + " " +
+                        std::to_string(budget),
+                    [kind, budget](StreamCursor& c, Skipper& s) {
+                        c.setPos(1);
+                        size_t idx = 0;
+                        bool end = s.toElem(kind, idx, budget, Group::G5) ==
+                                   Skipper::ElemStop::End;
+                        return std::string(end ? "end" : "found") +
+                               " seps=" + std::to_string(idx);
+                    });
+            }
         }
     }
     if (doc[0] == '{') {

@@ -141,7 +141,8 @@ TEST(MalformedSkipper, ElementScansOnTruncatedArray)
         Fix f("1, 2, 3");
         size_t idx = 0;
         ParseError e = expectParseError([&] {
-            f.skip.toTypedElem('{', idx, 10, ski::Group::G1);
+            f.skip.toElem(ski::Skipper::ElemKind::Object, idx, 10,
+                          ski::Group::G1);
         });
         EXPECT_EQ(e.code(), ErrorCode::UnterminatedArray);
     }
@@ -149,13 +150,19 @@ TEST(MalformedSkipper, ElementScansOnTruncatedArray)
         Fix f("1, 2");
         size_t idx = 0;
         ParseError e = expectParseError(
-            [&] { f.skip.overElems(5, idx, ski::Group::G5); });
+            [&] {
+                f.skip.toElem(ski::Skipper::ElemKind::None, idx, 5,
+                              ski::Group::G5);
+            });
         EXPECT_EQ(e.code(), ErrorCode::UnterminatedArray);
     }
     {
         Fix f("7, 8, ");
-        ParseError e = expectParseError(
-            [&] { f.skip.toContainerElem(ski::Group::G1); });
+        size_t idx = 0;
+        ParseError e = expectParseError([&] {
+            f.skip.toElem(ski::Skipper::ElemKind::Container, idx, SIZE_MAX,
+                          ski::Group::G1);
+        });
         EXPECT_EQ(e.code(), ErrorCode::UnterminatedArray);
     }
 }

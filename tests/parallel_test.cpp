@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "gen/datasets.h"
 #include "path/parser.h"
 #include "ski/streamer.h"
+#include "util/error.h"
 
 using namespace jsonski;
 using jsonski::path::parse;
@@ -122,4 +125,78 @@ TEST(ParallelStreamer, ThreadCountInvariance)
         ThreadPool pool(t);
         EXPECT_EQ(par.run(json, pool), expected) << t;
     }
+}
+
+TEST(ParallelStreamer, MalformedInputFailsLikeSerial)
+{
+    // Parallel returns the serial count, or throws the serial ErrorCode
+    // at the serial position; a failure inside a worker reaches the
+    // caller instead of aborting the process.
+    struct Case
+    {
+        const char* json;
+        const char* query;
+    };
+    const Case cases[] = {
+        // Worker error inside the second element.
+        {R"([{"a":{"b":1}}, {"a":{"b" 2}}])", "$[*].a.b"},
+        // Split array: a missing ',' and a missing ']'.
+        {R"([{"a":1} {"a":2}])", "$[*].a"},
+        {R"([{"a":1},{"a":2})", "$[*].a"},
+        // The first "pd" member cannot be stepped into; the second can
+        // (linear driver), or cannot (NfaDriver binds the first).
+        {R"({"pd":1,"pd":[{"name":"x"}]})", "$.pd[*].name"},
+        {R"({"pd":1,"pd":[{"a":{"b":1}}]})", "$.pd[*]..a.b"},
+        // An earlier element's worker error beats a later split error.
+        {R"([{"a":{"b" 1}}, {"a":2} {"a":3}])", "$[*].a.b"},
+        // Damage in the element whose skip fails, before its end.
+        {R"([{"a":1},{"a" 2, "b":[)", "$[*].a"},
+        // Damage after the split array, under the key prefix.
+        {R"({"pd":[{"name":"x"}], "z":[)", "$.pd[*].name"},
+        // Root type mismatch: NfaDriver reads the value, Driver not.
+        {R"({"x":[)", "$[*]..a.b"},
+        {R"({"x":[)", "$[*].a.b"},
+    };
+    ThreadPool pool(4);
+    for (const Case& c : cases) {
+        auto q = parse(c.query);
+        std::optional<ParseError> want;
+        size_t want_n = 0;
+        try {
+            want_n = ski::Streamer(q).runResident(c.json).matches;
+        } catch (const ParseError& e) {
+            want = e;
+        }
+        try {
+            size_t n = ski::ParallelStreamer(q).run(c.json, pool);
+            EXPECT_FALSE(want.has_value()) << c.json << ": no error";
+            EXPECT_EQ(n, want_n) << c.json;
+        } catch (const ParseError& e) {
+            ASSERT_TRUE(want.has_value()) << c.json << ": " << e.what();
+            EXPECT_EQ(e.code(), want->code()) << c.json;
+            EXPECT_EQ(e.position(), want->position()) << c.json;
+        }
+    }
+    // The serial outcomes these mirror.
+    auto serialError = [](const char* json, const char* query) {
+        try {
+            ski::Streamer(parse(query)).runResident(json);
+        } catch (const ParseError& e) {
+            return std::make_pair(e.code(), e.position());
+        }
+        return std::make_pair(ErrorCode::Unspecified, size_t{0});
+    };
+    EXPECT_EQ(serialError(cases[0].json, cases[0].query),
+              std::make_pair(ErrorCode::ExpectedPunctuation, size_t{26}));
+    EXPECT_EQ(serialError(cases[1].json, cases[1].query),
+              std::make_pair(ErrorCode::ExpectedPunctuation, size_t{9}));
+    EXPECT_EQ(serialError(cases[2].json, cases[2].query).second, 16u);
+    EXPECT_EQ(ski::Streamer(parse(cases[3].query))
+                  .runResident(cases[3].json)
+                  .matches,
+              1u);
+    EXPECT_EQ(ski::Streamer(parse(cases[4].query))
+                  .runResident(cases[4].json)
+                  .matches,
+              0u);
 }

@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "baseline/dom/query.h"
+#include "gen/datasets.h"
+#include "harness/engines.h"
 #include "intervals/chunk_source.h"
 #include "kernels/kernel.h"
 #include "path/matches.h"
@@ -459,3 +461,38 @@ TEST(QuerySetDifferential, OverlappingRangesReachObjectAndArrayDispatch)
         checkSetAndDom(doc, set, "ranges " + set.front());
 }
 
+TEST(QuerySetDifferential, OneQuerySetChargesWhatTheSoloPassCharges)
+{
+    // A single index range is the one-range case of a query set: both
+    // engines cross it with the shell's one array walk, so a one-query
+    // set must match and skip exactly like the solo pass, per group.
+    size_t total = 0;
+    for (const harness::QuerySpec& spec : harness::paperQueries()) {
+        const std::string doc = gen::generateLarge(spec.dataset, 32 * 1024);
+        const path::PathQuery q = path::parse(spec.large_query);
+        const ski::Streamer solo(q);
+        const ski::MultiStreamer multi({q});
+        for (size_t chunk : {size_t{0}, size_t{64}, size_t{65}}) {
+            path::CollectSink solo_sink;
+            ski::MultiCollectSink multi_sink(1);
+            ski::StreamResult s;
+            ski::MultiStreamer::Result m;
+            if (chunk == 0) {
+                s = solo.run(doc, &solo_sink);
+                m = multi.run(doc, &multi_sink);
+            } else {
+                intervals::SplitSource a(doc, chunk);
+                intervals::SplitSource b(doc, chunk);
+                s = solo.run(a, &solo_sink, chunk);
+                m = multi.run(b, &multi_sink, chunk);
+            }
+            const std::string where =
+                std::string(spec.id) + " chunk " + std::to_string(chunk);
+            total += s.matches;
+            EXPECT_EQ(m.matches[0], s.matches) << where;
+            EXPECT_EQ(multi_sink.values[0], solo_sink.values) << where;
+            EXPECT_EQ(m.stats.skipped, s.stats.skipped) << where;
+        }
+    }
+    EXPECT_GT(total, 0u);
+}

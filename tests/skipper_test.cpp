@@ -317,7 +317,7 @@ TEST(SkipperToTypedElem, FindsFirstObject)
     std::string json = R"(1,"s",[2,3],{"k":1},4])";
     Fixture f(json); // array body, '[' already consumed conceptually
     size_t idx = 0;
-    auto r = f.skip.toTypedElem('{', idx, SIZE_MAX, Group::G1);
+    auto r = f.skip.toElem(Skipper::ElemKind::Object, idx, SIZE_MAX, Group::G1);
     EXPECT_EQ(r, Skipper::ElemStop::Found);
     EXPECT_EQ(idx, 3u);
     EXPECT_EQ(f.json[f.cur.pos()], '{');
@@ -328,7 +328,7 @@ TEST(SkipperToTypedElem, ArrayEnd)
     std::string json = R"(1,2,"x"]#)";
     Fixture f(json);
     size_t idx = 0;
-    auto r = f.skip.toTypedElem('{', idx, SIZE_MAX, Group::G1);
+    auto r = f.skip.toElem(Skipper::ElemKind::Object, idx, SIZE_MAX, Group::G1);
     EXPECT_EQ(r, Skipper::ElemStop::End);
     EXPECT_EQ(f.json[f.cur.pos()], '#');
 }
@@ -338,7 +338,7 @@ TEST(SkipperToTypedElem, BudgetLimit)
     std::string json = "1,2,3,4,5,6]";
     Fixture f(json);
     size_t idx = 0;
-    auto r = f.skip.toTypedElem('{', idx, 3, Group::G1);
+    auto r = f.skip.toElem(Skipper::ElemKind::Object, idx, 3, Group::G1);
     EXPECT_EQ(r, Skipper::ElemStop::Found);
     EXPECT_EQ(idx, 3u);
     EXPECT_EQ(f.json[f.cur.pos()], '4');
@@ -349,7 +349,7 @@ TEST(SkipperToTypedElem, SkipsWrongContainers)
     std::string json = R"([1],[2],{"k":1}])";
     Fixture f(json);
     size_t idx = 0;
-    auto r = f.skip.toTypedElem('{', idx, SIZE_MAX, Group::G1);
+    auto r = f.skip.toElem(Skipper::ElemKind::Object, idx, SIZE_MAX, Group::G1);
     EXPECT_EQ(r, Skipper::ElemStop::Found);
     EXPECT_EQ(idx, 2u);
     EXPECT_EQ(f.json[f.cur.pos()], '{');
@@ -360,7 +360,7 @@ TEST(SkipperOverElems, SkipsExactCount)
     std::string json = R"(10,{"a":1},[3,3],40,50])";
     Fixture f(json);
     size_t idx = 0;
-    auto r = f.skip.overElems(3, idx, Group::G5);
+    auto r = f.skip.toElem(Skipper::ElemKind::None, idx, 3, Group::G5);
     EXPECT_EQ(r, Skipper::ElemStop::Found);
     EXPECT_EQ(idx, 3u);
     EXPECT_EQ(f.json[f.cur.pos()], '4');
@@ -371,7 +371,7 @@ TEST(SkipperOverElems, EndsEarlyWhenArrayCloses)
     std::string json = "1,2]#";
     Fixture f(json);
     size_t idx = 0;
-    auto r = f.skip.overElems(10, idx, Group::G5);
+    auto r = f.skip.toElem(Skipper::ElemKind::None, idx, 10, Group::G5);
     EXPECT_EQ(r, Skipper::ElemStop::End);
     EXPECT_EQ(f.json[f.cur.pos()], '#');
 }
@@ -384,7 +384,7 @@ TEST(SkipperOverElems, LongPrimitiveRunAcrossBlocks)
     json += "\"end\"]#";
     Fixture f(json);
     size_t idx = 0;
-    auto r = f.skip.overElems(100, idx, Group::G5);
+    auto r = f.skip.toElem(Skipper::ElemKind::None, idx, 100, Group::G5);
     EXPECT_EQ(r, Skipper::ElemStop::Found);
     EXPECT_EQ(idx, 100u);
     EXPECT_EQ(f.json[f.cur.pos()], '"');

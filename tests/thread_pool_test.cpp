@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 using jsonski::ThreadPool;
@@ -72,6 +74,24 @@ TEST(ThreadPool, ReusableAcrossBatches)
     for (int round = 0; round < 5; ++round)
         pool.parallelFor(50, [&](size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 250);
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestFailureOnCaller)
+{
+    ThreadPool pool(4);
+    try {
+        pool.parallelFor(100, [](size_t i) {
+            if (i == 17 || i == 60)
+                throw std::runtime_error(std::to_string(i));
+        });
+        FAIL() << "parallelFor swallowed the exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "17");
+    }
+    // The pool survives and runs the next batch in full.
+    std::atomic<int> count{0};
+    pool.parallelFor(50, [&](size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 50);
 }
 
 TEST(ThreadPool, SizeReportsWorkerCount)
