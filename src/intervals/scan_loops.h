@@ -157,14 +157,38 @@ struct ScanLoops
     }
 
     /**
-     * Counting-based pairing (Lemma 4.2 / Theorem 4.3): walk each word
-     * interval by interval (Algorithm 4) — every opener bounds a
-     * structural interval, and the closers inside it are counted
-     * against the unpaired-opener total, the terminating closer being
-     * selected straight from the bitmap.  The count is 64-bit: an
-     * all-opener input grows it by at most 64 per block, so it is
-     * bounded by size() and cannot overflow.
+     * Counting-based pairing (Lemma 4.2 / Theorem 4.3) over one word:
+     * walk it interval by interval (Algorithm 4) — every opener bounds
+     * a structural interval, and the closers inside it are counted
+     * against the unpaired-opener total @p depth, the terminating
+     * closer being selected straight from the bitmap.  Returns that
+     * closer's offset, or -1 with @p depth carried past the word.  The
+     * count is 64-bit: an all-opener input grows it by at most 64 per
+     * block, so it is bounded by size() and cannot overflow.
      */
+    [[gnu::always_inline]] static int
+    pairWord(uint64_t opens, uint64_t closes, uint64_t& depth)
+    {
+        for (;;) {
+            // Closers before the next opener, or in the rest of the
+            // word when no opener follows.
+            uint64_t below = bits::maskBelowLowest(opens);
+            uint64_t closes_before = closes & below;
+            auto n = static_cast<uint64_t>(bits::popcount(closes_before));
+            if (n >= depth)
+                return P::select(closes_before, static_cast<int>(depth));
+            if (opens == 0) {
+                depth -= n;
+                return -1; // the interval continues into the next word
+            }
+            // The interval-ending opener is unpaired.
+            depth = depth - n + 1;
+            closes &= ~below;
+            opens = bits::clearLowest(opens);
+        }
+    }
+
+    /** Pair word by word from the position to the container's end. */
     static bool
     closeContainer(StreamCursor& c, char open_ch, char close_ch,
                    uint64_t depth)
@@ -173,35 +197,60 @@ struct ScanLoops
             telemetry::count(telemetry::Counter::PairingProbeWords);
             Block b;
             uint64_t live = ~load(c, b).in_string & fromPos(c);
-            uint64_t opens = P::eq(b, open_ch) & live;
-            uint64_t closes = P::eq(b, close_ch) & live;
             size_t base = c.pos_ - c.pos_ % kBlockSize;
-            for (;;) {
-                // Closers before the next opener, or in the rest of the
-                // word when no opener follows.
-                uint64_t below = bits::maskBelowLowest(opens);
-                uint64_t closes_before = closes & below;
-                auto n =
-                    static_cast<uint64_t>(bits::popcount(closes_before));
-                if (n >= depth) {
-                    int off =
-                        P::select(closes_before, static_cast<int>(depth));
-                    c.pos_ = base + static_cast<size_t>(off) + 1;
-                    return true;
-                }
-                if (opens == 0) {
-                    depth -= n;
-                    break; // the interval continues into the next word
-                }
-                // The interval-ending opener is unpaired.
-                depth = depth - n + 1;
-                closes &= ~below;
-                opens = bits::clearLowest(opens);
+            int off = pairWord(P::eq(b, open_ch) & live,
+                               P::eq(b, close_ch) & live, depth);
+            if (off >= 0) {
+                c.pos_ = base + static_cast<size_t>(off) + 1;
+                return true;
             }
             c.pos_ = base + kBlockSize;
         }
         c.pos_ = c.len_; // never leave the position past the input
         return false;
+    }
+
+    /**
+     * closeContainer's pairing, cut short at the first candidate key:
+     * an opening quote (quote & in_string) whose next two bytes are
+     * @p k0 and @p k1, or whose look-ahead runs past the block.  Only
+     * openers and closers before the candidate are counted, so @p depth
+     * is exact for a resume after it.
+     */
+    static KeyStop
+    keyOrClose(StreamCursor& c, char open_ch, char close_ch, uint64_t& depth,
+               char k0, char k1)
+    {
+        constexpr uint64_t kTop1 = uint64_t{1} << 63;
+        constexpr uint64_t kTop2 = uint64_t{3} << 62;
+        while (!atEnd(c)) {
+            telemetry::count(telemetry::Counter::PairingProbeWords);
+            Block b;
+            const StringBits& s = load(c, b);
+            uint64_t from = fromPos(c);
+            uint64_t cands = s.quote & s.in_string & from &
+                             ((P::eq(b, k0) >> 1) | kTop1);
+            if (k1 != '\0')
+                cands &= (P::eq(b, k1) >> 2) | kTop2;
+            uint64_t live =
+                ~s.in_string & from & bits::maskBelowLowest(cands);
+            size_t base = c.pos_ - c.pos_ % kBlockSize;
+            int off = pairWord(P::eq(b, open_ch) & live,
+                               P::eq(b, close_ch) & live, depth);
+            if (off >= 0) {
+                c.pos_ = base + static_cast<size_t>(off) + 1;
+                depth = 0;
+                return KeyStop::Closer;
+            }
+            if (cands != 0) {
+                c.pos_ = base +
+                         static_cast<size_t>(bits::trailingZeros(cands));
+                return KeyStop::Candidate;
+            }
+            c.pos_ = base + kBlockSize;
+        }
+        c.pos_ = c.len_;
+        return KeyStop::End;
     }
 
     /** Comma structural intervals (Algorithm 4/5), a word at a time. */
@@ -298,7 +347,7 @@ makeScans()
     using L = ScanLoops<P>;
     return {P::kName,        L::classifyThrough, L::skipWhitespace,
             L::closeContainer, L::primitiveRun,  L::primitiveEnd,
-            L::stringEnd};
+            L::stringEnd,    L::keyOrClose};
 }
 
 } // namespace jsonski::intervals

@@ -6,7 +6,8 @@
  * Every loop that walks the input block by block — the cursor's
  * string-layer classification and whitespace skip, and the skipper's
  * container close (Algorithm 3 pairing), primitive-run scan
- * (Algorithm 4/5 comma intervals), primitive end and string end — is
+ * (Algorithm 4/5 comma intervals), primitive end, string end and the
+ * descendant key search — is
  * written once as a template over a kernel policy (kernels/policy.h,
  * intervals/scan_loops.h) and compiled once per kernel, in a
  * translation unit carrying that kernel's pinned flags.  The policy's
@@ -36,6 +37,13 @@ enum class RunStop {
     Closer,      ///< at the level's closer (position on it)
     SepBudget,   ///< budget separators consumed (position just past the last)
     End,         ///< input ended first (position at size())
+};
+
+/** Where a key-or-close scan stopped. */
+enum class KeyStop {
+    Closer,    ///< the container closed (position just past its closer)
+    Candidate, ///< at a candidate key's opening quote (position on it)
+    End,       ///< input ended first (position at size())
 };
 
 /** Sentinel of Scans::string_end: the input ends inside the string. */
@@ -80,6 +88,16 @@ struct Scans
     /** One past the closing quote of the string opening at
      *  @p open_pos, or kUnterminated. */
     size_t (*string_end)(StreamCursor& cur, size_t open_pos);
+
+    /**
+     * close_container that also stops at the first candidate key: an
+     * opening quote followed by the bytes @p k0 @p k1 (@p k1 == '\0'
+     * checks @p k0 only).  A candidate whose look-ahead crosses into
+     * the next block is kept, so the filter is exact per block.
+     * @p depth keeps the unpaired openers left before the stop.
+     */
+    KeyStop (*key_or_close)(StreamCursor& cur, char open_ch, char close_ch,
+                            uint64_t& depth, char k0, char k1);
 };
 
 /** The scan loops compiled for kernel @p k. */

@@ -185,6 +185,20 @@ struct NfaSet
 };
 
 /**
+ * Can the value opening with byte @p first extend a match through Key
+ * state @p s?  The next step's G1 type (DESIGN.md §15): an accept or
+ * descendant step takes any value, an array step (filters included) an
+ * array, a key step an object.
+ */
+inline bool
+nfaKeyFits(const PathQuery& q, size_t s, char first)
+{
+    if (s + 1 == q.size() || q[s + 1].kind == PathStep::Kind::Descendant)
+        return true;
+    return first == (q[s + 1].isArrayStep() ? '[' : '{');
+}
+
+/**
  * [Key] transition over the multiset.  Accepting states are dropped:
  * whenever state n is produced by a descendant step, the searching
  * state that produced it stays co-resident in the set, so the
@@ -193,14 +207,17 @@ struct NfaSet
  *
  * @p consumed (parallel to in.states, carried across the members of
  * ONE object) pins the engines' duplicate-key semantics: a Key step
- * binds to the first member with its name only — the streamer leaves
- * the object via G4 after that member — while a Descendant step keeps
+ * binds to one member with its name only — the streamer leaves the
+ * object via G4 after that member — while a Descendant step keeps
  * examining every member, duplicates included.  Entries are marked
- * here when a Key state advances.
+ * here when a Key state advances.  With the value's first byte
+ * @p value_first a Key state binds the first member whose value fits
+ * (nfaKeyFits; the streamers' rule), with '\0' the first member of
+ * the name (the DOM oracle's rule).
  */
 inline NfaSet
 nfaOnKey(const PathQuery& q, const NfaSet& in, std::string_view key,
-         std::vector<char>* consumed = nullptr)
+         std::vector<char>* consumed = nullptr, char value_first = '\0')
 {
     NfaSet out;
     for (size_t i = 0; i < in.states.size(); ++i) {
@@ -211,7 +228,8 @@ nfaOnKey(const PathQuery& q, const NfaSet& in, std::string_view key,
         if (step.kind == PathStep::Kind::Key) {
             if (consumed && (*consumed)[i])
                 continue;
-            if (step.key == key) {
+            if (step.key == key &&
+                (value_first == '\0' || nfaKeyFits(q, s, value_first))) {
                 out.add(s + 1, c);
                 if (consumed)
                     (*consumed)[i] = 1;

@@ -72,8 +72,13 @@ explain(const PathQuery& query)
           case PathStep::Kind::Descendant:
             out << "deep   : match key \"" << s.key
                 << "\" at ANY depth\n           "
-                << "[type inference disabled: only primitive runs "
-                   "fast-forward (G1)]";
+                << "[type inference disabled: ";
+            if (last)
+                out << "one key-or-close scan per container jumps to "
+                       "candidate keys (G1)]";
+            else
+                out << "every member is examined, only primitive runs "
+                       "fast-forward (G1)]";
             break;
           case PathStep::Kind::Filter: {
             PathQuery one;

@@ -53,10 +53,10 @@ firstArrayStep(const PathQuery& q)
  * Phases 0 and 1 over the resident record: walk the key prefix to the
  * split array binding members as the serial driver does, G4 past the
  * rest, then record the span of every element of the split array the
- * serial walk hands to its next step.  The linear Driver binds the
- * first member of each name whose value type the next step needs and
- * crosses elements with the G1 typed scan; NfaDriver (interior
- * descendants) binds the first member of the name and stops at every
+ * serial walk hands to its next step.  Both serial drivers bind the
+ * first member of each name whose value type the next step needs; the
+ * linear Driver crosses elements with the G1 typed scan, NfaDriver
+ * (interior descendants) examines every member and stops at every
  * element.  Errors raised here surface only after the workers ran (see
  * ParallelStreamer::run()).
  */
@@ -125,14 +125,15 @@ class Splitter : public PassShell
                 continue;
             }
             if (cur_.current() != want) {
-                skip_.overValue(Group::G2); // untyped: cannot match
-            } else {
-                cur_.advance(1);
-                if (s + 1 == split_)
-                    array();
-                else
-                    object(s + 1);
+                // Untyped: the member does not fit, so it binds nothing.
+                skip_.overValue(Group::G2);
+                continue;
             }
+            cur_.advance(1);
+            if (s + 1 == split_)
+                array();
+            else
+                object(s + 1);
             skip_.toObjEnd(Group::G4);
             return;
         }

@@ -102,6 +102,8 @@ rangeSegments(Segment* out, size_t lo, size_t hi, int next,
     return out;
 }
 
+class SlotEmitter;
+
 /** A filter predicate's field and the value the probe found for it. */
 struct FieldProbe
 {
@@ -198,9 +200,12 @@ class PassShell
                     return;
                 if (idx >= seg->hi)
                     continue;
-            } else if (cur_.skipWhitespace() == ']') {
+            } else if (char c = cur_.skipWhitespace(); c == ']') {
                 cur_.advance(1);
                 return;
+            } else if (c == '\0') {
+                throw ParseError(ErrorCode::UnexpectedEnd,
+                                 "unexpected end of input", cur_.pos());
             }
             body(*seg, idx);
             char c = cur_.skipWhitespace();
@@ -259,6 +264,18 @@ class PassShell
                 return false;
         }
     }
+
+    /**
+     * The terminal `..key` search (DESIGN.md §13) of the container
+     * opened by @p open_ch: one fused key-or-close scan (G1) per
+     * container, stopping only at candidate keys.  A candidate is a
+     * member of that name when its raw bytes equal @p key and a ':'
+     * follows; its value opens a pre-order slot of @p emit and is
+     * searched in turn (a container) or skipped as output (G3).
+     * Member syntax between candidates is not checked (paper §3.3).
+     * Entry: position just past the opener.  Exit: just past its closer.
+     */
+    void searchKey(std::string_view key, char open_ch, SlotEmitter& emit);
 
     /** Filter step @p st's verdict on what the probe @p p found. */
     bool
@@ -428,6 +445,40 @@ class SlotEmitter
     size_t flushed_ = 0; ///< slots already delivered
     size_t pin_ = intervals::StreamCursor::kNoHold;
 };
+
+inline void
+PassShell::searchKey(std::string_view key, char open_ch, SlotEmitter& emit)
+{
+    DepthScope depth(*this); // recursion is per nested match only
+    char k0 = key.empty() ? '"' : key[0];
+    char k1 = key.empty() ? '\0' : key.size() == 1 ? '"' : key[1];
+    uint64_t open = 1;
+    while (skip_.toKeyOrClose(open_ch == '{', open, k0, k1, Group::G1)) {
+        size_t quote = cur_.pos();
+        // Pin the candidate's bytes until the compare has read them.
+        cur_.setScanHold(quote);
+        size_t end = skip_.stringEnd(quote);
+        bool named = cur_.slice(quote + 1, end - 1) == key;
+        cur_.clearScanHold();
+        cur_.setPos(end);
+        if (!named || cur_.skipWhitespace() != ':')
+            continue; // another key, or a string value: resume after it
+        cur_.advance(1);
+        char c = cur_.skipWhitespace();
+        if (c == '\0')
+            throw ParseError(ErrorCode::UnexpectedEnd,
+                             "missing attribute value", cur_.pos());
+        size_t start = cur_.pos();
+        size_t slot = emit.open(start);
+        if (c == '{' || c == '[') {
+            cur_.advance(1);
+            searchKey(key, c, emit);
+        } else {
+            skip_.overPrimitive(Group::G3);
+        }
+        emit.close(slot, trimmedEnd(cur_, start, cur_.pos()));
+    }
+}
 
 /**
  * Run a nested pass (@p body) over the held span [start, end) of the

@@ -119,6 +119,24 @@ Skipper::closeContainer(bool object, uint64_t depth, Group g,
     account(g, start, cur_.pos());
 }
 
+bool
+Skipper::toKeyOrClose(bool object, uint64_t& depth, char k0, char k1,
+                      Group g)
+{
+    telemetry::PhaseScope phase(telemetry::Phase::Pair);
+    size_t start = cur_.pos();
+    intervals::KeyStop stop = cur_.scans().key_or_close(
+        cur_, object ? '{' : '[', object ? '}' : ']', depth, k0, k1);
+    if (stop == intervals::KeyStop::End)
+        throw ParseError(object ? ErrorCode::UnterminatedObject
+                                : ErrorCode::UnterminatedArray,
+                         object ? "unterminated object"
+                                : "unterminated array",
+                         start);
+    account(g, start, cur_.pos());
+    return stop == intervals::KeyStop::Candidate;
+}
+
 void
 Skipper::overPrimitive(Group g)
 {
@@ -382,8 +400,7 @@ Skipper::toElem(ElemKind stop_at, size_t& idx, size_t limit, Group g)
             cur_.clearScanHold();
             return ElemStop::Found;
         }
-        if (c == '{' || c == '[' ||
-            (!batch_primitives_ && stop_at != ElemKind::Container)) {
+        if (c == '{' || c == '[' || !batch_primitives_) {
             // Wrong-typed element (or per-element ablation mode): skip
             // it whole, then its separator.  Any scan hold left by a
             // batched run would pin the window open across the whole

@@ -155,10 +155,9 @@ class Skipper
 
     /** Elements that stop the element scan: bit 0 '{', bit 1 '['. */
     enum class ElemKind : uint8_t {
-        None = 0,      ///< none: goOverElems(K), the G5 count
-        Object = 1,    ///< goToObjElem()
-        Array = 2,     ///< goToAryElem()
-        Container = 3, ///< either: descendant traversal, types unknown
+        None = 0,   ///< none: goOverElems(K), the G5 count
+        Object = 1, ///< goToObjElem()
+        Array = 2,  ///< goToAryElem()
     };
 
     /**
@@ -166,8 +165,8 @@ class Skipper
      * elements until one of kind @p stop_at starts or @p idx reaches
      * @p limit; @p idx is advanced by the number of elements skipped.
      * Containers of other kinds are skipped whole.  Primitive runs are
-     * batch-skipped (Algorithm 5) — for Container always, for the other
-     * kinds unless batching is off (then one element at a time).
+     * batch-skipped (Algorithm 5) unless batching is off (then one
+     * element at a time).
      *
      * Entry/exit position: element start.  Returns End when the array
      * closed first (position past ']').
@@ -175,6 +174,19 @@ class Skipper
     ElemStop toElem(ElemKind stop_at, size_t& idx, size_t limit, Group g);
 
     /// @}
+
+    /**
+     * The terminal `..name` search (DESIGN.md §13): from inside a
+     * container with @p depth unpaired openers, advance to the next
+     * candidate key (intervals::Scans::key_or_close; position on its
+     * opening quote, @p depth kept for the resume) or just past the
+     * container's closer.  The span is charged to @p g.
+     * @return true at a candidate, false past the closer.
+     * @throws ParseError (UnterminatedObject / UnterminatedArray) when
+     *         the input ends first.
+     */
+    bool toKeyOrClose(bool object, uint64_t& depth, char k0, char k1,
+                      Group g);
 
     /**
      * Bit-parallel scan for the end of the string literal opening at

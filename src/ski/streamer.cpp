@@ -133,10 +133,9 @@ class Driver : public PassShell
 
     /**
      * Process an array whose elements are matched against step
-     * @p state: an index range, a filter (DESIGN.md §13: only object
+     * @p state: an index range or a filter (DESIGN.md §13: only object
      * elements can carry the predicate field, so the rest are G1
-     * type-skips), or the terminal `..name` search (only containers can
-     * hold a match).  Entry: position just past '['.  Exit: just past
+     * type-skips).  Entry: position just past '['.  Exit: just past
      * ']'.
      */
     void
@@ -147,11 +146,6 @@ class Driver : public PassShell
         const PathStep& st = q_[state];
         using Kind = Skipper::ElemKind;
         Segment segs[3];
-        if (st.kind == PathStep::Kind::Descendant) {
-            walkArray(rangeSegments(segs, 0, SIZE_MAX, 0, Kind::Container),
-                      [&](const Segment&, size_t) { descend(); });
-            return;
-        }
         if (st.kind == PathStep::Kind::Filter) {
             walkArray(rangeSegments(segs, 0, SIZE_MAX, 0, Kind::Object),
                       [&](const Segment&, size_t) { keepCandidate(state); });
@@ -255,45 +249,9 @@ class Driver : public PassShell
     }
 
     /**
-     * Descendant traversal (terminal `..name` step, an extension over
-     * the paper): every attribute at any depth whose name matches is
-     * a result.  Matches may nest, so they go through the pre-order
-     * slots of the SlotEmitter, which bounds chunked-mode retention by
-     * the deepest *nested-match* chain, not by the document.  Only
-     * primitive runs can still be fast-forwarded — the type-inference
-     * limitation the paper predicts for `..`.
-     *
-     * Entry: position just past '{'.  Exit: just past the '}'.
-     */
-    void
-    runDescObject()
-    {
-        DepthScope depth(*this);
-        // Descendant traversal belongs to the terminal `..name` step.
-        skip_.setTraceState(static_cast<uint16_t>(q_.size() - 1));
-        const std::string& k = q_.steps.back().key;
-        for (;;) {
-            Skipper::AttrResult attr =
-                skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
-            if (!attr.found)
-                return;
-            bool matched =
-                cur_.slice(attr.key_begin, attr.key_end) == k;
-            char c = cur_.current();
-            size_t start = cur_.pos();
-            size_t slot = matched ? emit_.open(start) : 0;
-            if (c == '{' || c == '[')
-                descend();
-            else
-                skip_.overPrimitive(matched ? Group::G3 : Group::G2);
-            if (matched)
-                emit_.close(slot, trimmedEnd(cur_, start, cur_.pos()));
-        }
-    }
-
-    /**
-     * A value searched by the terminal `..name` step: containers are
-     * entered, primitives cannot hold a match (G2).
+     * A value searched by the terminal `..name` step (an extension
+     * over the paper): a container gets the shell's fused key search,
+     * a primitive cannot hold a match (G2).
      */
     void
     descend()
@@ -303,11 +261,10 @@ class Driver : public PassShell
             skip_.overValue(Group::G2);
             return;
         }
+        // Descendant traversal belongs to the terminal `..name` step.
+        skip_.setTraceState(static_cast<uint16_t>(q_.size() - 1));
         cur_.advance(1);
-        if (c == '{')
-            runDescObject();
-        else
-            runArray(q_.size() - 1);
+        searchKey(q_.steps.back().key, c, emit_);
     }
 
     const PathQuery& q_;
@@ -436,8 +393,9 @@ class NfaDriver : public PassShell
     {
         DepthScope depth(*this);
         bool has_desc = path::nfaHasDescendant(q_, a);
-        // Key states bind to the first member with their name only
-        // (duplicate-key contract, mirrors the linear driver's G4).
+        // Key states bind to the first member with their name whose
+        // value fits the next step (duplicate-key contract, the linear
+        // driver's G1 filter and G4).
         std::vector<char> consumed(a.states.size(), 0);
         for (;;) {
             Skipper::AttrResult attr =
@@ -446,7 +404,7 @@ class NfaDriver : public PassShell
                 return;
             path::NfaSet b = path::nfaOnKey(
                 q_, a, cur_.slice(attr.key_begin, attr.key_end),
-                &consumed);
+                &consumed, cur_.current());
             if (b.empty())
                 skip_.overValue(Group::G2);
             else

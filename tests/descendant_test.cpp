@@ -3,8 +3,11 @@
  * Tests for the descendant operator extension (`$..name`, any step
  * position): JSONSki semantics, pre-order emission and multiset
  * multiplicity, cross-engine agreement (JSONSki / JPStream / DOM /
- * tape), and the documented restrictions (Pison rejects `..`; tape
- * and JPStream support only the terminal form).
+ * tape), the documented restrictions (Pison rejects `..`; tape and
+ * JPStream support only the terminal form), and the key-scan wall: the
+ * terminal search's fused key-or-close scan against the DOM oracle,
+ * whole-buffer, chunked at every size from 1 to 130 bytes and under
+ * every runnable kernel.
  */
 #include <gtest/gtest.h>
 
@@ -12,13 +15,17 @@
 #include "baseline/jpstream/engine.h"
 #include "baseline/pison/query.h"
 #include "baseline/tape/query.h"
+#include "intervals/chunk_source.h"
 #include "json/validate.h"
 #include "json/writer.h"
+#include "kernels/kernel.h"
 #include "path/parser.h"
 #include "ski/multi.h"
+#include "ski/parallel.h"
 #include "ski/streamer.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 using namespace jsonski;
 using jsonski::path::parse;
@@ -30,6 +37,48 @@ ski_values(std::string_view json, const char* q)
 {
     auto r = ski::query(json, q, /*collect=*/true);
     return r.values;
+}
+
+/**
+ * Query @p text over @p json must give exactly @p want under every
+ * runnable kernel, whole-buffer and chunked at 1 to 130 bytes.
+ */
+void
+expectEverywhere(const std::string& json, const std::string& text,
+                 const std::vector<std::string>& want)
+{
+    ski::Streamer s(parse(text));
+    for (const kernels::Kernel* k : kernels::runnable()) {
+        kernels::Override o(*k);
+        path::CollectSink whole;
+        s.runResident(json, &whole);
+        ASSERT_EQ(whole.values, want)
+            << text << " " << k->name << " whole\n" << json;
+        for (size_t chunk = 1; chunk <= 130; ++chunk) {
+            intervals::ViewSource src(json);
+            path::CollectSink got;
+            s.run(src, &got, chunk);
+            ASSERT_EQ(got.values, want) << text << " " << k->name
+                                        << " chunk " << chunk << "\n"
+                                        << json;
+        }
+    }
+}
+
+/** As expectEverywhere, with the DOM oracle's values as @p want. */
+void
+expectLikeDom(const std::string& json, const std::string& text)
+{
+    path::CollectSink dom_sink;
+    dom::parseAndQuery(json, parse(text), &dom_sink);
+    expectEverywhere(json, text, dom_sink.values);
+}
+
+/** `$..['key']` for a key without quotes or backslashes. */
+std::string
+descendantOf(const std::string& key)
+{
+    return "$..['" + key + "']";
 }
 
 } // namespace
@@ -353,4 +402,107 @@ TEST(Descendant, StatsStillAccumulate)
     auto r = ski::query(json, "$..k");
     EXPECT_EQ(r.count, 2u);
     EXPECT_GT(r.stats.get(ski::Group::G1), 500u);
+}
+
+TEST(Descendant, DuplicateMemberBindsFirstFittingValue)
+{
+    // The first "pd" cannot be stepped into, so neither driver binds
+    // it: both take the second, the first whose value fits the next
+    // step (DESIGN.md §15), and the parallel splitter agrees.
+    const std::string json = R"({"pd":1,"pd":[{"a":{"b":1}}]})";
+    ThreadPool pool(2);
+    for (const char* text : {"$.pd[*]..a.b", "$.pd[*].a.b"}) {
+        auto q = parse(text);
+        path::CollectSink got;
+        EXPECT_EQ(ski::Streamer(q).run(json, &got).matches, 1u) << text;
+        EXPECT_EQ(got.values, (std::vector<std::string>{"1"})) << text;
+        EXPECT_EQ(ski::ParallelStreamer(q).run(json, pool), 1u) << text;
+    }
+}
+
+TEST(Descendant, KeyScanWallKeyLengthsAndDecoys)
+{
+    // Each key among value strings, array strings, longer keys, its
+    // text inside a longer string, escaped quotes just before it,
+    // whitespace before ':', and nested matches (pre-order).
+    for (const std::string& k :
+         {std::string(), std::string("k"), std::string("ab"),
+          std::string("abc"), std::string(69, 'q') + "x"}) {
+        const std::string K = "\"" + k + "\"";
+        std::string json =
+            "{" + K + ":1,\"x\":{" + K + ":{" + K + ":[1,{" + K +
+            ":\"v\"}]},\"y\":" + K + "},\"z\":[" + K + ",{" + K +
+            " \n\t: true}],\"s\":\"pre \\" + K.substr(0, K.size() - 1) +
+            "\\\": 1 post\",\"" + k + "x\":2,\"x" + k + "\":3," +
+            "\"e1\":\"\\\\\"," + K + ":4,\"e2\":\"q\\\"\"," + K +
+            ":[" + K + "],\"e3\":\"\\\"" + k + "\\\"\"," + K + ":null}";
+        ASSERT_TRUE(json::validate(json)) << json;
+        expectLikeDom(json, descendantOf(k));
+        expectLikeDom(json, "$.x" + descendantOf(k).substr(1));
+        expectLikeDom(json, "$.z[*]" + descendantOf(k).substr(1));
+    }
+}
+
+TEST(Descendant, KeyScanWallEveryQuoteOffset)
+{
+    // The candidate's opening quote at every offset of a 64-byte
+    // block, so its two look-ahead bytes cross into the next block.
+    for (const std::string& k : {std::string("k"), std::string("ab"),
+                                 std::string("abc"), std::string()}) {
+        const std::string K = "\"" + k + "\"";
+        for (size_t pad = 0; pad < 128; ++pad) {
+            std::string sp(pad, ' ');
+            expectLikeDom("{" + sp + K + ":1,\"o\":{" + K + ":[" + K +
+                              "]}}",
+                          descendantOf(k));
+            expectLikeDom("[" + sp + K + ",{\"a\":\"" + sp + "\"," + K +
+                              " :2}]",
+                          descendantOf(k));
+        }
+    }
+}
+
+TEST(Descendant, KeyScanWallQuotesAndBackslashesInTheKey)
+{
+    // Keys compare raw: a query key holding '"' or '\\' matches only
+    // the member whose raw (escaped) bytes equal it, not its decoded
+    // text as the DOM compares.
+    const std::string json =
+        R"({"a\"b":1,"a\\b":2,"o":{"a\"b":[3],"":4,"\"x":5}})";
+    ASSERT_TRUE(json::validate(json));
+    // The query text unescapes once: ['a\\"b'] is the key a\"b.
+    expectEverywhere(json, R"($..['a"b'])", {});
+    expectEverywhere(json, R"($..['a\\"b'])", {"1", "[3]"});
+    expectEverywhere(json, R"($..['a\\b'])", {});
+    expectEverywhere(json, R"($..['a\\\\b'])", {"2"});
+    expectEverywhere(json, R"($..['"x'])", {});
+    expectEverywhere(json, R"($..['\\"x'])", {"5"});
+    expectEverywhere(json, R"($..[''])", {"4"});
+}
+
+TEST(Descendant, DeepNonMatchingNestingIsScannedNotRecursed)
+{
+    // Only nested matches recurse: 100 000 levels without one are a
+    // single fused scan, with or without a match at the bottom.
+    const size_t n = 100000;
+    std::string objects, arrays;
+    for (size_t i = 0; i < n; ++i)
+        objects += "{\"a\":";
+    objects += "{\"k\":7}" + std::string(n, '}');
+    arrays = std::string(n, '[') + "1" + std::string(n, ']');
+    EXPECT_EQ(ski_values(objects, "$..k"), (std::vector<std::string>{"7"}));
+    EXPECT_EQ(ski::query(arrays, "$..k").count, 0u);
+    EXPECT_EQ(ski::query("[" + objects + "]", "$..zz").count, 0u);
+
+    // A chain of nested matches still stops at the depth limit.
+    std::string chain;
+    for (size_t i = 0; i < 30000; ++i)
+        chain += "{\"k\":";
+    chain += "1" + std::string(30000, '}');
+    try {
+        ski::query(chain, "$..k");
+        FAIL() << "expected DepthExceeded";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::DepthExceeded);
+    }
 }

@@ -17,9 +17,10 @@
  *
  * The scan loops compiled per kernel (intervals/scans.h) get the same
  * treatment one level up: container close, primitive runs with a
- * separator budget, string end and whitespace skip must leave the same
- * position, separator count, ErrorCode and error position as the
- * scalar instantiation, whole-buffer and chunked.
+ * separator budget, string end, whitespace skip and the descendant
+ * key-or-close scan must leave the same position, separator count,
+ * remaining depth, ErrorCode and error position as the scalar
+ * instantiation, whole-buffer and chunked.
  *
  * On hosts where only the scalar kernel passes its cpuid probe the
  * cross-kernel tests skip with a note instead of silently passing.
@@ -40,6 +41,7 @@
 #include "ski/skipper.h"
 #include "ski/streamer.h"
 #include "testing/differential.h"
+#include "testing/mutator.h"
 #include "util/bits.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -248,6 +250,58 @@ referencePositions(const std::string& doc, bool open)
     return out;
 }
 
+/** A cursor over @p doc: whole when @p chunk is 0, else in @p chunk-byte
+ *  refills from @p src. */
+void
+openCursor(std::optional<intervals::StreamCursor>& cur,
+           intervals::ViewSource& src, const std::string& doc, size_t chunk)
+{
+    if (chunk == 0)
+        cur.emplace(doc);
+    else
+        cur.emplace(src, chunk);
+}
+
+/**
+ * Every stop of the key-or-close scan for the candidate bytes @p k0
+ * @p k1 over the container opening @p doc, from just past its opener
+ * at depth 1, under the active kernel: stop kind, position and
+ * remaining depth.  A candidate resumes past its string, as the
+ * descendant search does.
+ */
+std::string
+keyScanTrace(const std::string& doc, size_t chunk, char k0, char k1)
+{
+    intervals::ViewSource src(doc);
+    std::optional<intervals::StreamCursor> cur;
+    openCursor(cur, src, doc, chunk);
+    const char open = doc[0];
+    const char close = open == '{' ? '}' : ']';
+    std::string out;
+    uint64_t depth = 1;
+    cur->setPos(1);
+    for (int step = 0; step < 64; ++step) {
+        intervals::KeyStop stop =
+            cur->scans().key_or_close(*cur, open, close, depth, k0, k1);
+        out += std::to_string(static_cast<int>(stop)) + "@" +
+               std::to_string(cur->pos()) + "/" + std::to_string(depth) +
+               " ";
+        if (stop != intervals::KeyStop::Candidate)
+            return out;
+        size_t end = cur->scans().string_end(*cur, cur->pos());
+        if (end == intervals::kUnterminated)
+            return out + "unterminated";
+        cur->setPos(end);
+    }
+    return out;
+}
+
+/** Candidate bytes (k0, k1) the key-scan checks try: one-, two-byte
+ *  and empty keys, present and absent in the documents. */
+constexpr std::pair<char, char> kKeyProbes[] = {
+    {'a', '"'}, {'k', '"'}, {'"', '\0'}, {'i', 'd'}, {'x', 'y'},
+};
+
 /**
  * Everything the scan loops decide on @p doc under the active kernel:
  * one line per operation with its result, the final position, and the
@@ -264,10 +318,7 @@ scanOutcomes(const std::string& doc, size_t chunk)
     auto run = [&](const std::string& label, auto&& op) {
         intervals::ViewSource src(doc);
         std::optional<StreamCursor> cur;
-        if (chunk == 0)
-            cur.emplace(doc);
-        else
-            cur.emplace(src, chunk);
+        openCursor(cur, src, doc, chunk);
         Skipper skip(*cur);
         std::string r;
         try {
@@ -292,8 +343,7 @@ scanOutcomes(const std::string& doc, size_t chunk)
         // The element scan's budgets alone (G5 count), then with each
         // typed stop (G1).
         using Kind = Skipper::ElemKind;
-        for (Kind kind :
-             {Kind::None, Kind::Object, Kind::Array, Kind::Container}) {
+        for (Kind kind : {Kind::None, Kind::Object, Kind::Array}) {
             for (size_t budget : {1, 2, 3, 5, 31, 1000}) {
                 run("elems " + std::to_string(static_cast<int>(kind)) + " " +
                         std::to_string(budget),
@@ -324,6 +374,11 @@ scanOutcomes(const std::string& doc, size_t chunk)
                        std::to_string(r.key_end);
             });
         }
+    }
+    if (doc[0] == '{' || doc[0] == '[') {
+        for (auto [k0, k1] : kKeyProbes)
+            out.push_back("keys " + std::string{k0, k1} + ": " +
+                          keyScanTrace(doc, chunk, k0, k1));
     }
     for (size_t p : referencePositions(doc, /*open=*/true)) {
         run("string " + std::to_string(p), [p](StreamCursor&, Skipper& s) {
@@ -559,6 +614,51 @@ TEST(KernelEquivalence, ScanLoopsAgreeWithScalar)
                 kernels::Override o(*k);
                 EXPECT_EQ(scanOutcomes(doc, chunk), want)
                     << k->name << " chunk " << chunk << " doc " << doc;
+            }
+        }
+    }
+}
+
+TEST(KernelEquivalence, KeyOrCloseAgreesOverRandomAndMutatedInputs)
+{
+    auto alts = alternateKernels();
+    SKIP_WITHOUT_SIMD_KERNELS(alts);
+    std::vector<std::string> docs;
+    // Random containers dense in quotes, escapes, brackets and the
+    // probed key bytes.
+    Rng rng(0x5EED);
+    static constexpr std::string_view alphabet = "\"\\{}[],: \nakidxy";
+    for (int i = 0; i < 300; ++i) {
+        std::string doc(1, rng.below(2) ? '{' : '[');
+        size_t n = rng.below(300);
+        for (size_t j = 0; j < n; ++j)
+            doc += alphabet[rng.below(alphabet.size())];
+        docs.push_back(std::move(doc));
+    }
+    // Mutants of the corpus records.
+    jt::StructuredMutator mutator(17);
+    for (const std::string& doc : jt::defaultCorpus(1024)) {
+        for (int i = 0; i < 4; ++i) {
+            std::string m = mutator.mutate(doc);
+            if (!m.empty() && (m[0] == '{' || m[0] == '['))
+                docs.push_back(std::move(m));
+        }
+    }
+    const kernels::Kernel& ref = scalarKernel();
+    for (const std::string& doc : docs) {
+        for (size_t chunk : {0, 1, 64, 65}) {
+            for (auto [k0, k1] : kKeyProbes) {
+                std::string want;
+                {
+                    kernels::Override o(ref);
+                    want = keyScanTrace(doc, chunk, k0, k1);
+                }
+                for (const kernels::Kernel* k : alts) {
+                    kernels::Override o(*k);
+                    EXPECT_EQ(keyScanTrace(doc, chunk, k0, k1), want)
+                        << k->name << " chunk " << chunk << " key "
+                        << k0 << k1 << " doc " << doc;
+                }
             }
         }
     }

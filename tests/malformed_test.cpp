@@ -13,6 +13,7 @@
 
 #include "intervals/cursor.h"
 #include "path/parser.h"
+#include "ski/multi.h"
 #include "ski/record_reader.h"
 #include "ski/record_scanner.h"
 #include "ski/skipper.h"
@@ -73,6 +74,24 @@ TEST(MalformedSkipper, ToObjEndOnTruncatedInput)
     EXPECT_EQ(e.code(), ErrorCode::UnterminatedObject);
     EXPECT_EQ(e.position(), 0u); // scan start
     EXPECT_LE(f.cur.pos(), f.cur.size()); // position never passes the end
+}
+
+TEST(MalformedSkipper, KeyOrCloseOnTruncatedInput)
+{
+    // The descendant key scan: stops at the candidate, keeps the depth
+    // for the resume, and reports a container the input never closes
+    // at the scan start.
+    Fix f("\"x\": [1, {\"k\": 2}, {\"m\": [");
+    uint64_t depth = 1;
+    ASSERT_TRUE(f.skip.toKeyOrClose(true, depth, 'k', '"', ski::Group::G1));
+    EXPECT_EQ(f.cur.pos(), 10u);
+    EXPECT_EQ(depth, 2u);
+    f.cur.setPos(13); // past the candidate's closing quote
+    ParseError e = expectParseError(
+        [&] { f.skip.toKeyOrClose(true, depth, 'k', '"', ski::Group::G1); });
+    EXPECT_EQ(e.code(), ErrorCode::UnterminatedObject);
+    EXPECT_EQ(e.position(), 13u); // scan start
+    EXPECT_EQ(f.cur.pos(), f.cur.size());
 }
 
 TEST(MalformedSkipper, UnterminatedStringReportsOpeningQuote)
@@ -160,7 +179,7 @@ TEST(MalformedSkipper, ElementScansOnTruncatedArray)
         Fix f("7, 8, ");
         size_t idx = 0;
         ParseError e = expectParseError([&] {
-            f.skip.toElem(ski::Skipper::ElemKind::Container, idx, SIZE_MAX,
+            f.skip.toElem(ski::Skipper::ElemKind::Object, idx, SIZE_MAX,
                           ski::Group::G1);
         });
         EXPECT_EQ(e.code(), ErrorCode::UnterminatedArray);
@@ -190,6 +209,35 @@ TEST(MalformedStreamer, EmptyAndTruncatedDocuments)
         [&] { ski::Streamer(q).run(R"({"a": {"b": )", nullptr); });
     EXPECT_EQ(e2.code(), ErrorCode::UnexpectedEnd);
     EXPECT_LE(e2.position(), std::string(R"({"a": {"b": )").size());
+}
+
+TEST(MalformedStreamer, ArrayEndsWhereAnElementShouldStart)
+{
+    // The array walk stops at the end of input before handing an
+    // element to any driver: untyped element steps of the linear,
+    // NFA and multi-query drivers.
+    const struct
+    {
+        const char* json;
+        const char* query;
+    } cases[] = {
+        {R"({"a":[{"b":1},)", "$..a[?(@.b)]"},
+        {"[1,", "$[*]..k"},
+        {"[1, ", "$[*]"},
+    };
+    for (const auto& c : cases) {
+        ParseError e = expectParseError(
+            [&] { ski::Streamer(parse(c.query)).run(c.json, nullptr); });
+        EXPECT_EQ(e.code(), ErrorCode::UnexpectedEnd) << c.query;
+        EXPECT_EQ(e.position(), std::string(c.json).size()) << c.query;
+    }
+    std::vector<path::PathQuery> qs;
+    qs.push_back(parse("$[*]"));
+    qs.push_back(parse("$[0]"));
+    ParseError e = expectParseError(
+        [&] { ski::MultiStreamer(std::move(qs)).run("[1,", nullptr); });
+    EXPECT_EQ(e.code(), ErrorCode::UnexpectedEnd);
+    EXPECT_EQ(e.position(), 3u);
 }
 
 TEST(MalformedStreamer, UnterminatedStringInAttributeName)
