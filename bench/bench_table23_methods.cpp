@@ -66,11 +66,10 @@ main()
     }
     report.write();
     std::printf(
-        "\nvs paper: identical, except this reproduction adds an\n"
-        "element-parallel JSONSki mode (the paper's future work; see\n"
-        "bench_ext_parallel) and substitutes two-phase chunking for\n"
-        "JPStream/Pison speculation (DESIGN.md #3).  SIMD kernel\n"
-        "active at runtime: %s.\n",
+        "\nvs paper: identical (single-record parallel JSONSki stays\n"
+        "future work, as in the paper), except this reproduction\n"
+        "substitutes two-phase chunking for JPStream/Pison speculation\n"
+        "(DESIGN.md #3).  SIMD kernel active at runtime: %s.\n",
         std::string(kernels::activeName()).c_str());
     return 0;
 }

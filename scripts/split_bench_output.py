@@ -39,7 +39,6 @@ BANNER_TO_FILE = {
     "Figure 14": "fig14_scalability.txt",
     "Ablation": "ablation.txt",
     "multiquery": "multiquery.txt",
-    "Extension: parallel JSONSki": "ext_parallel.txt",
     "Extension: descendant operator": "ext_descendant.txt",
 }
 

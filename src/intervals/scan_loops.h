@@ -128,7 +128,6 @@ struct ScanLoops
     static void
     classifyThrough(StreamCursor& c, size_t idx)
     {
-        telemetry::PhaseScope phase(telemetry::Phase::Classify);
         (void)strings(c, idx);
     }
 

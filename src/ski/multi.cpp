@@ -367,7 +367,6 @@ class MultiDriver : public PassShell
     void
     emit(const Record& rec, size_t begin, size_t end)
     {
-        telemetry::PhaseScope phase(telemetry::Phase::Emit);
         end = trimmedEnd(cur_, begin, end);
         // One frame per distinct query per value, ascending ids.
         for (size_t qi : rec.accepts) {

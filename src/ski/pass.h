@@ -35,7 +35,7 @@ namespace jsonski::ski {
  * a forward-only ChunkSource — plus an optional structural semi-index
  * built from exactly that record.  Resident bytes are open to the
  * chunk-seam test reroute only when the caller lets views of them go
- * (not the parallel splitter, not nested replays over held spans).
+ * (not nested replays over held spans).
  */
 struct PassInput
 {

@@ -21,7 +21,6 @@ scanRecords(std::string_view stream, size_t* tail_start)
     size_t record_start = 0;
     bool in_record = false;
 
-    telemetry::PhaseScope phase(telemetry::Phase::Classify);
     for (size_t base = 0; base < stream.size(); base += kBlockSize) {
         telemetry::count(telemetry::Counter::BlocksClassified);
         telemetry::count(telemetry::Counter::BytesScanned, kBlockSize);

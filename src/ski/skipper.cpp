@@ -81,7 +81,6 @@ Skipper::closeContainer(bool object, uint64_t depth, Group g,
                         size_t account_from, int64_t close_level)
 {
     assert(depth > 0);
-    telemetry::PhaseScope phase(telemetry::Phase::Pair);
     size_t start = account_from;
     const char open_ch = object ? '{' : '[';
     const char close_ch = object ? '}' : ']';
@@ -123,7 +122,6 @@ bool
 Skipper::toKeyOrClose(bool object, uint64_t& depth, char k0, char k1,
                       Group g)
 {
-    telemetry::PhaseScope phase(telemetry::Phase::Pair);
     size_t start = cur_.pos();
     intervals::KeyStop stop = cur_.scans().key_or_close(
         cur_, object ? '{' : '[', object ? '}' : ']', depth, k0, k1);
@@ -140,7 +138,6 @@ Skipper::toKeyOrClose(bool object, uint64_t& depth, char k0, char k1,
 void
 Skipper::overPrimitive(Group g)
 {
-    telemetry::PhaseScope phase(telemetry::Phase::Skip);
     size_t start = cur_.pos();
     cur_.scans().primitive_end(cur_);
     account(g, start, cur_.pos());
@@ -161,7 +158,6 @@ Skipper::scanPrimitives(bool closer_is_brace, size_t max_seps, size_t& seps,
                         Group g)
 {
     assert(seps < max_seps);
-    telemetry::PhaseScope phase(telemetry::Phase::Skip);
     size_t start = cur_.pos();
     const char closer_ch = closer_is_brace ? '}' : ']';
     int64_t lvl = indexedLevel();

@@ -291,9 +291,8 @@ class Skipper
             return;
         if (stats_)
             stats_->add(g, to - from);
-        // Telemetry records independently of stats_: phase-0 skippers
-        // in parallel runs pass a null stats pointer but their skips
-        // still belong in the trace.
+        // Telemetry records independently of stats_: a skipper built
+        // with a null stats pointer still traces its skips.
         telemetry::recordSkip(static_cast<uint8_t>(g), from, to,
                               trace_state_);
     }

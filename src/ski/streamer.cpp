@@ -66,7 +66,6 @@ class Driver : public PassShell
     void
     emitValue()
     {
-        telemetry::PhaseScope phase(telemetry::Phase::Emit);
         size_t start = cur_.pos();
         // The whole value span must stay resident until it is handed
         // to the sink, however many chunk seams it crosses.
@@ -212,7 +211,6 @@ class Driver : public PassShell
             return;
         size_t end = cur_.pos();
         if (state + 1 == q_.size()) {
-            telemetry::PhaseScope phase(telemetry::Phase::Emit);
             emit_.deliver(cur_.slice(start, end));
         } else {
             runContinuation(state + 1, start, end);

@@ -105,7 +105,7 @@ class Streamer
     /**
      * run(json) that the JSONSKI_TEST_CHUNK_BYTES test reroute never
      * streams chunked, for callers that keep zero-copy views of
-     * @p json (the parallel splitter).
+     * @p json (MultiStreamer's suffix replays over held spans).
      */
     StreamResult runResident(std::string_view json,
                              MatchSink* sink = nullptr) const;

@@ -96,17 +96,6 @@ toJson(const Registry& r)
     }
     out += '}';
 
-    out += ",\"phase_ns\":{";
-    for (size_t i = 0; i < kPhaseCount; ++i) {
-        if (i != 0)
-            out += ',';
-        out += '"';
-        out += phaseName(static_cast<Phase>(i));
-        out += "\":";
-        appendU64(out, r.phase_ns[i]);
-    }
-    out += '}';
-
     out += ",\"trace\":{\"total\":";
     appendU64(out, r.trace.total());
     out += ",\"dropped\":";
@@ -201,23 +190,6 @@ toPrometheus(const Registry& r, std::string_view labels)
         sample("skip_length_bytes_sum", grp, r.skipped[g]);
     }
 
-    out += "# TYPE jsonski_phase_seconds_total counter\n";
-    for (size_t i = 0; i < kPhaseCount; ++i) {
-        std::string extra = "phase=\"";
-        extra += phaseName(static_cast<Phase>(i));
-        extra += '"';
-        // Emit nanoseconds under a _ns suffix to stay integral.
-        out += "jsonski_phase_ns_total{";
-        if (!labels.empty()) {
-            out += labels;
-            out += ',';
-        }
-        out += extra;
-        out += "} ";
-        appendU64(out, r.phase_ns[i]);
-        out += '\n';
-    }
-
     sample("trace_decisions_total", "", r.trace.total());
     sample("trace_dropped_total", "", r.trace.dropped());
     return out;
@@ -273,22 +245,6 @@ renderReport(const Registry& r)
         if (any)
             out += ']';
         out += '\n';
-    }
-
-    out += "  phases (exclusive):\n";
-    uint64_t total_ns = 0;
-    for (uint64_t v : r.phase_ns)
-        total_ns += v;
-    for (size_t i = 0; i < kPhaseCount; ++i) {
-        double pct = total_ns == 0
-                         ? 0.0
-                         : 100.0 * static_cast<double>(r.phase_ns[i]) /
-                               static_cast<double>(total_ns);
-        std::snprintf(line, sizeof(line),
-                      "    %-10s %12.3f ms  %5.1f%%\n",
-                      phaseName(static_cast<Phase>(i)),
-                      static_cast<double>(r.phase_ns[i]) / 1e6, pct);
-        out += line;
     }
 
     std::snprintf(line, sizeof(line),

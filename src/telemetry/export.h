@@ -23,7 +23,6 @@ namespace jsonski::telemetry {
  *   {"enabled":bool, "kernel":"avx2",
  *    "counters":{...}, "skipped_bytes":{"G1":n,...},
  *    "skip_histograms":{"G1":[{"le":2,"count":n},...],...},
- *    "phase_ns":{...},
  *    "trace":{"total":n,"dropped":n,"entries":[{...},...]}}
  *
  * Histogram buckets are emitted sparsely (only non-empty buckets);
@@ -40,9 +39,9 @@ std::string toPrometheus(const Registry& r, std::string_view labels = {});
 
 /**
  * Human-readable report: counter table, per-group skip profile with
- * log2 histograms, phase breakdown, and the trace ring rendered one
- * decision per line — print it after ski::explain() to see the static
- * plan and the dynamic decisions side by side.
+ * log2 histograms, and the trace ring rendered one decision per line
+ * — print it after ski::explain() to see the static plan and the
+ * dynamic decisions side by side.
  */
 std::string renderReport(const Registry& r);
 

@@ -1,7 +1,5 @@
 #include "telemetry/telemetry.h"
 
-#include <chrono>
-
 namespace jsonski::telemetry {
 
 const char*
@@ -19,20 +17,6 @@ counterName(Counter c)
       case Counter::ChunkSpillBytes: return "chunk_spill_bytes";
       case Counter::SeamStraddleTokens: return "seam_straddle_tokens";
       case Counter::kCount: break;
-    }
-    return "unknown";
-}
-
-const char*
-phaseName(Phase p)
-{
-    switch (p) {
-      case Phase::Classify: return "classify";
-      case Phase::Pair: return "pair";
-      case Phase::Skip: return "skip";
-      case Phase::Emit: return "emit";
-      case Phase::Other: return "other";
-      case Phase::kCount: break;
     }
     return "unknown";
 }
@@ -95,8 +79,6 @@ Registry::merge(const Registry& other)
         skipped[i] += other.skipped[i];
         skip_hist[i].merge(other.skip_hist[i]);
     }
-    for (size_t i = 0; i < kPhaseCount; ++i)
-        phase_ns[i] += other.phase_ns[i];
     trace.merge(other.trace);
 }
 
@@ -107,37 +89,12 @@ Registry::reset()
     skipped.fill(0);
     for (SkipHistogram& h : skip_hist)
         h.buckets.fill(0);
-    phase_ns.fill(0);
     trace.clear();
 }
 
 namespace {
 
 thread_local Registry* tls_registry = nullptr;
-
-#if JSONSKI_TELEMETRY_ENABLED
-
-using PhaseClock = std::chrono::steady_clock;
-
-thread_local Phase tls_phase = Phase::Other;
-thread_local PhaseClock::time_point tls_mark{};
-
-/** Charge the time since tls_mark to the active phase and re-mark. */
-void
-flushPhase(Registry* r)
-{
-    PhaseClock::time_point now = PhaseClock::now();
-    if (r != nullptr) {
-        r->phase_ns[static_cast<size_t>(tls_phase)] +=
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    now - tls_mark)
-                    .count());
-    }
-    tls_mark = now;
-}
-
-#endif // JSONSKI_TELEMETRY_ENABLED
 
 } // namespace
 
@@ -150,41 +107,11 @@ current() noexcept
 Scope::Scope(Registry& r) : prev_(tls_registry)
 {
     tls_registry = &r;
-#if JSONSKI_TELEMETRY_ENABLED
-    // Start the phase clock so phase_ns sums to the scope's wall time.
-    tls_phase = Phase::Other;
-    tls_mark = PhaseClock::now();
-#endif
 }
 
 Scope::~Scope()
 {
-#if JSONSKI_TELEMETRY_ENABLED
-    flushPhase(tls_registry);
-#endif
     tls_registry = prev_;
 }
-
-#if JSONSKI_TELEMETRY_ENABLED
-
-PhaseScope::PhaseScope(Phase p) : prev_(tls_phase), active_(false)
-{
-    Registry* r = tls_registry;
-    if (r == nullptr)
-        return;
-    active_ = true;
-    flushPhase(r); // charge the elapsed slice to the outer phase
-    tls_phase = p;
-}
-
-PhaseScope::~PhaseScope()
-{
-    if (!active_)
-        return;
-    flushPhase(tls_registry); // charge this scope's slice to its phase
-    tls_phase = prev_;
-}
-
-#endif // JSONSKI_TELEMETRY_ENABLED
 
 } // namespace jsonski::telemetry

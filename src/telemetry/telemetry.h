@@ -1,12 +1,11 @@
 /**
  * @file
  * Zero-overhead telemetry substrate: counters, log2-bucketed skip
- * histograms, per-phase stopwatches, and a bounded trace ring of
- * fast-forward decisions.
+ * histograms and a bounded trace ring of fast-forward decisions.
  *
  * The data structures (Registry, SkipHistogram, TraceRing) compile in
  * every build so exporters and tests always work.  The *hot-path
- * hooks* (count(), recordSkip(), PhaseScope) are compile-time gated on
+ * hooks* (count(), recordSkip()) are compile-time gated on
  * the JSONSKI_TELEMETRY CMake option (macro JSONSKI_TELEMETRY_ENABLED):
  * in the default OFF build every hook is an empty `if constexpr
  * (false)` body the optimizer removes entirely — no branch, no TLS
@@ -14,10 +13,8 @@
  *
  * Recording is per-thread: a Scope installs a Registry into
  * thread-local storage and every hook on that thread writes into it.
- * Parallel runs give each worker task its own Registry and merge them
- * in document order afterwards (see ski/parallel.cpp), which makes the
- * merged result deterministic under the dynamic scheduling of
- * ThreadPool::parallelFor.
+ * Registries recorded apart (jsqd's per-request and per-shard ones)
+ * combine with Registry::merge.
  *
  * DESIGN.md §8 is the counter glossary and overhead contract.
  */
@@ -57,20 +54,6 @@ inline constexpr size_t kCounterCount = static_cast<size_t>(Counter::kCount);
 
 /** Stable snake_case identifier (JSON keys, Prometheus metric names). */
 const char* counterName(Counter c);
-
-/** Pipeline phases attributed by PhaseScope (exclusive time). */
-enum class Phase : uint8_t {
-    Classify, ///< string-layer block classification
-    Pair,     ///< counting-based container-end pairing
-    Skip,     ///< primitive-run scanning / skipping
-    Emit,     ///< matched-value delivery (G3)
-    Other,    ///< everything outside the scopes above (driver logic)
-    kCount,
-};
-
-inline constexpr size_t kPhaseCount = static_cast<size_t>(Phase::kCount);
-
-const char* phaseName(Phase p);
 
 /** Mirrors ski::Group G1..G5 without depending on the ski layer. */
 inline constexpr size_t kSkipGroupCount = 5;
@@ -172,8 +155,6 @@ struct Registry
 
     std::array<SkipHistogram, kSkipGroupCount> skip_hist{};
 
-    std::array<uint64_t, kPhaseCount> phase_ns{};
-
     TraceRing trace;
 
     uint64_t
@@ -254,37 +235,6 @@ recordSkip(uint8_t group, uint64_t begin, uint64_t end, uint16_t state)
         (void)state;
     }
 }
-
-#if JSONSKI_TELEMETRY_ENABLED
-
-/**
- * Attribute wall time to @p p until destruction, exclusively: time
- * spent inside a nested PhaseScope is charged to the inner phase.
- * No-op when no Registry is installed.
- */
-class PhaseScope
-{
-  public:
-    explicit PhaseScope(Phase p);
-    ~PhaseScope();
-
-    PhaseScope(const PhaseScope&) = delete;
-    PhaseScope& operator=(const PhaseScope&) = delete;
-
-  private:
-    Phase prev_;
-    bool active_;
-};
-
-#else
-
-class PhaseScope
-{
-  public:
-    explicit PhaseScope(Phase) {}
-};
-
-#endif // JSONSKI_TELEMETRY_ENABLED
 
 } // namespace jsonski::telemetry
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Fixed-size worker pool used by the parallel experiments: record-level
- * parallelism for the small-record scenario (Figure 12) and chunked
- * parallel index construction / tokenization for the single-large-record
- * scenario (Figure 10's JPStream(16) / Pison(16) bars).
+ * Fixed-size worker pool for the parallel experiments: record-level
+ * parallelism over small records (Figure 12), and the baselines'
+ * chunked index construction / tokenization of one large record
+ * (Figure 10's JPStream(16) / Pison(16) bars).
  */
 #ifndef JSONSKI_UTIL_THREAD_POOL_H
 #define JSONSKI_UTIL_THREAD_POOL_H

@@ -21,11 +21,9 @@
 #include "kernels/kernel.h"
 #include "path/parser.h"
 #include "ski/multi.h"
-#include "ski/parallel.h"
 #include "ski/streamer.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 using namespace jsonski;
 using jsonski::path::parse;
@@ -408,15 +406,13 @@ TEST(Descendant, DuplicateMemberBindsFirstFittingValue)
 {
     // The first "pd" cannot be stepped into, so neither driver binds
     // it: both take the second, the first whose value fits the next
-    // step (DESIGN.md §15), and the parallel splitter agrees.
+    // step (DESIGN.md §15).
     const std::string json = R"({"pd":1,"pd":[{"a":{"b":1}}]})";
-    ThreadPool pool(2);
     for (const char* text : {"$.pd[*]..a.b", "$.pd[*].a.b"}) {
         auto q = parse(text);
         path::CollectSink got;
         EXPECT_EQ(ski::Streamer(q).run(json, &got).matches, 1u) << text;
         EXPECT_EQ(got.values, (std::vector<std::string>{"1"})) << text;
-        EXPECT_EQ(ski::ParallelStreamer(q).run(json, pool), 1u) << text;
     }
 }
 

@@ -249,6 +249,62 @@ TEST(MalformedStreamer, UnterminatedStringInAttributeName)
     EXPECT_EQ(e.position(), 1u); // the opening quote of the name
 }
 
+TEST(MalformedStreamer, ElementArrayOutcomesArePinned)
+{
+    // Damaged arrays of query-relevant elements and duplicate members
+    // that cannot be stepped into: each either fails with this code at
+    // this byte or yields this many matches, resident or streamed.
+    const struct
+    {
+        const char* json;
+        const char* query;
+        ErrorCode code; ///< Unspecified: no error, expect @c matches
+        size_t at;      ///< error position, or match count
+    } cases[] = {
+        // Damage inside the second element.
+        {R"([{"a":{"b":1}}, {"a":{"b" 2}}])", "$[*].a.b",
+         ErrorCode::ExpectedPunctuation, 26},
+        // A missing ',' and a missing ']' between and after elements.
+        {R"([{"a":1} {"a":2}])", "$[*].a", ErrorCode::ExpectedPunctuation, 9},
+        {R"([{"a":1},{"a":2})", "$[*].a", ErrorCode::ExpectedPunctuation, 16},
+        // The first "pd" member cannot be stepped into; both drivers
+        // bind the second, the first whose value fits.
+        {R"({"pd":1,"pd":[{"name":"x"}]})", "$.pd[*].name",
+         ErrorCode::Unspecified, 1},
+        {R"({"pd":1,"pd":[{"a":{"b":1}}]})", "$.pd[*]..a.b",
+         ErrorCode::Unspecified, 1},
+        // The earlier element's damage is reported, not the later one.
+        {R"([{"a":{"b" 1}}, {"a":2} {"a":3}])", "$[*].a.b",
+         ErrorCode::ExpectedPunctuation, 11},
+        // Damage in an element, before its truncated end.
+        {R"([{"a":1},{"a" 2, "b":[)", "$[*].a",
+         ErrorCode::ExpectedPunctuation, 14},
+        // Damage after the matched array, under the key prefix.
+        {R"({"pd":[{"name":"x"}], "z":[)", "$.pd[*].name",
+         ErrorCode::UnterminatedObject, 20},
+        // Root type mismatch: the NFA driver reads the value, the
+        // linear driver does not.
+        {R"({"x":[)", "$[*]..a.b", ErrorCode::UnterminatedObject, 0},
+        {R"({"x":[)", "$[*].a.b", ErrorCode::Unspecified, 0},
+    };
+    for (const auto& c : cases) {
+        ski::Streamer s(parse(c.query));
+        for (bool resident : {true, false}) {
+            auto run = [&] {
+                return resident ? s.runResident(c.json).matches
+                                : s.run(c.json, nullptr).matches;
+            };
+            if (c.code == ErrorCode::Unspecified) {
+                EXPECT_EQ(run(), c.at) << c.json << " " << c.query;
+                continue;
+            }
+            ParseError e = expectParseError(run);
+            EXPECT_EQ(e.code(), c.code) << c.json << " " << c.query;
+            EXPECT_EQ(e.position(), c.at) << c.json << " " << c.query;
+        }
+    }
+}
+
 TEST(MalformedScanner, StrayAndUnbalancedBytes)
 {
     ParseError stray =

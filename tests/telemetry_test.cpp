@@ -143,8 +143,6 @@ TEST(RegistryTest, MergeIsElementWise)
     b.skipped[4] = 7;
     a.skip_hist[1].add(100);
     b.skip_hist[1].add(50);
-    a.phase_ns[0] = 10;
-    b.phase_ns[0] = 20;
     b.trace.push(entry(1));
     a.merge(b);
     EXPECT_EQ(a.counters[0], 5u);
@@ -152,7 +150,6 @@ TEST(RegistryTest, MergeIsElementWise)
     EXPECT_EQ(a.skipped[4], 7u);
     EXPECT_EQ(a.skippedTotal(), 157u);
     EXPECT_EQ(a.skip_hist[1].count(), 2u);
-    EXPECT_EQ(a.phase_ns[0], 30u);
     EXPECT_EQ(a.trace.total(), 1u);
 }
 
@@ -162,13 +159,11 @@ TEST(RegistryTest, ResetZeroesEverything)
     r.counters[3] = 9;
     r.skipped[2] = 11;
     r.skip_hist[2].add(11);
-    r.phase_ns[1] = 5;
     r.trace.push(entry(0));
     r.reset();
     EXPECT_EQ(r.counter(Counter::PairingFallbackParses), 0u);
     EXPECT_EQ(r.skippedTotal(), 0u);
     EXPECT_EQ(r.skip_hist[2].count(), 0u);
-    EXPECT_EQ(r.phase_ns[1], 0u);
     EXPECT_EQ(r.trace.total(), 0u);
 }
 
@@ -196,7 +191,6 @@ TEST(HooksTest, GatedOnBuildConfig)
         count(Counter::CursorReseeks);
         count(Counter::BytesScanned, 64);
         recordSkip(2, 10, 25, 3);
-        PhaseScope phase(Phase::Pair); // must compile in both configs
     }
     if (kEnabled) {
         EXPECT_EQ(reg.counter(Counter::CursorReseeks), 1u);
@@ -218,7 +212,6 @@ TEST(HooksTest, SilentWithoutScope)
     // No registry installed: hooks must not crash, whatever the config.
     count(Counter::BlocksClassified);
     recordSkip(0, 0, 64, 0);
-    PhaseScope phase(Phase::Skip);
 }
 
 namespace {
@@ -233,7 +226,6 @@ sampleRegistry()
     r.skipped[3] = 9;
     r.skip_hist[0].add(1000);
     r.skip_hist[3].add(9);
-    r.phase_ns[0] = 123456;
     r.trace.push(TraceEntry{0, 1000, 1, 0});
     r.trace.push(TraceEntry{1200, 1209, 2, 3});
     return r;
